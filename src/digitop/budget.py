@@ -31,11 +31,6 @@ class Budget:
                 f"search budget of {self.limit} nodes exhausted"
             )
 
-    def remaining(self) -> int | None:
-        if self.limit is None:
-            return None
-        return max(self.limit - self.spent, 0)
-
 
 def ensure_budget(budget: Budget | None) -> Budget:
     """Return the given budget, or a fresh default one."""

@@ -118,7 +118,11 @@ def catalog(n: int, max_points: int, budget: Budget | None = None) -> Catalog:
         for rows in _grown_connected_graphs(n, max_points, budget):
             if len(rows) < 2 * n + 2:
                 continue
-            space = _materialize(rows)
+            # zero-padded ids sort in index order, as _from_rows requires
+            width = max(2, len(str(len(rows) - 1)))
+            space = DigitalSpace._from_rows(
+                [f"v{k:0{width}d}" for k in range(len(rows))], rows
+            )
             if recognize_closed_manifold(space, budget) != n:
                 continue
             if find_edge_disks(space, budget):
@@ -132,18 +136,6 @@ def catalog(n: int, max_points: int, budget: Budget | None = None) -> Catalog:
         exhaustive = False
     entries.sort(key=lambda e: (e.points, e.form.encoding))
     return Catalog(n, max_points, tuple(entries), exhaustive)
-
-
-def _materialize(rows: list[int]) -> DigitalSpace:
-    ids = [f"v{k:02d}" for k in range(len(rows))]
-    edges = []
-    for i, row in enumerate(rows):
-        high = row >> (i + 1) << (i + 1)
-        while high:
-            j = (high & -high).bit_length() - 1
-            high &= high - 1
-            edges.append((ids[i], ids[j]))
-    return DigitalSpace(ids, edges)
 
 
 def _grown_connected_graphs(n: int, max_points: int, budget: Budget):

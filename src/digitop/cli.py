@@ -204,9 +204,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_catalog(args: argparse.Namespace) -> int:
-    budget = Budget(args.budget) if args.budget is not None else None
     try:
-        result = catalog(args.dim, args.max_points, budget)
+        result = catalog(args.dim, args.max_points, _budget(args))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     flag = "true" if result.exhaustive else "false"

@@ -17,9 +17,6 @@ a fixed order:
   (d) a point adjacent to all others: contractible (the space is a cone)
   (e) fewer than two simple points: not contractible
   (f) otherwise recurse on G - v for each simple point v
-
-The prune (c) can be switched off, which matters only when comparing
-against brute-force oracles in tests; verdicts are unaffected.
 """
 
 from __future__ import annotations
@@ -34,20 +31,6 @@ from .space import DigitalSpace
 
 _CONTRACTIBLE = FormCache()
 
-# When enabled, every transformation asserts that it preserved the
-# Euler characteristic.  Costs a clique enumeration per step, so it is
-# off by default and switched on by the test suite.
-_debug_checks = False
-
-
-def set_debug_checks(enabled: bool) -> None:
-    global _debug_checks
-    _debug_checks = enabled
-
-
-def debug_checks_enabled() -> bool:
-    return _debug_checks
-
 
 class NotSimpleError(ValueError):
     """A transformation was asked to use a non-simple point or edge."""
@@ -60,18 +43,12 @@ class TraceError(ValueError):
 # -- contractibility ------------------------------------------------------------
 
 
-def is_contractible(
-    G: DigitalSpace,
-    budget: Budget | None = None,
-    *,
-    chi_prune: bool = True,
-    memo: bool = True,
-) -> bool:
+def is_contractible(G: DigitalSpace, budget: Budget | None = None) -> bool:
     """Decide whether G reduces to a point by simple-point deletions."""
-    return _contractible(G, ensure_budget(budget), chi_prune, memo)
+    return _contractible(G, ensure_budget(budget))
 
 
-def _contractible(G: DigitalSpace, budget: Budget, chi_prune: bool, memo: bool) -> bool:
+def _contractible(G: DigitalSpace, budget: Budget) -> bool:
     n = len(G)
     if n == 0:
         return False
@@ -79,30 +56,24 @@ def _contractible(G: DigitalSpace, budget: Budget, chi_prune: bool, memo: bool) 
         return True
     if not G.is_connected():
         return False
-    key = None
-    if memo:
-        key = canonical_form(G).encoding
-        hit = _CONTRACTIBLE.get(key)
-        if hit is not MISSING:
-            return hit
+    key = canonical_form(G).encoding
+    hit = _CONTRACTIBLE.get(key)
+    if hit is not MISSING:
+        return hit
     budget.charge()
-    if chi_prune and G.euler_characteristic() != 1:
+    if G.euler_characteristic() != 1:
         result = False
     elif G.dominating_point() is not None:
         result = True
     else:
-        simple = [
-            v for v in G.points if _contractible(G.rim(v), budget, chi_prune, memo)
-        ]
+        simple = [v for v in G.points if _contractible(G.rim(v), budget)]
         if len(simple) < 2:
             result = False
         else:
             result = any(
-                _contractible(G.delete_points([v]), budget, chi_prune, memo)
-                for v in simple
+                _contractible(G.delete_points([v]), budget) for v in simple
             )
-    if memo:
-        _CONTRACTIBLE.put(key, result)
+    _CONTRACTIBLE.put(key, result)
     return result
 
 
@@ -174,13 +145,6 @@ class TransformTrace:
         )
 
 
-def _check_euler(before: DigitalSpace, after: DigitalSpace) -> None:
-    if _debug_checks:
-        a = before.euler_characteristic()
-        b = after.euler_characteristic()
-        assert a == b, f"transformation changed the Euler characteristic: {a} -> {b}"
-
-
 def delete_simple_point(
     G: DigitalSpace, v: str, budget: Budget | None = None
 ) -> tuple[DigitalSpace, TransformStep]:
@@ -188,7 +152,6 @@ def delete_simple_point(
     if not is_contractible(rim, budget):
         raise NotSimpleError(f"point {v!r} is not simple")
     result = G.delete_points([v])
-    _check_euler(G, result)
     return result, TransformStep("delete-point", (v,), rim.points)
 
 
@@ -202,7 +165,6 @@ def attach_simple_point(
     if not is_contractible(G.induced_subspace(rim_points), budget):
         raise NotSimpleError(f"attachment rim for {v!r} is not contractible")
     result = G.add_point(v, rim_points)
-    _check_euler(G, result)
     return result, TransformStep("attach-point", (v,), rim_points)
 
 
@@ -214,7 +176,6 @@ def delete_simple_edge(
     if not is_contractible(G.joint_rim(v, u), budget):
         raise NotSimpleError(f"edge {v!r} -- {u!r} is not simple")
     result = G.remove_edge(v, u)
-    _check_euler(G, result)
     return result, TransformStep("delete-edge", tuple(sorted((v, u))))
 
 
@@ -226,7 +187,6 @@ def attach_simple_edge(
     if not is_contractible(G.joint_rim(v, u), budget):
         raise NotSimpleError(f"common rim of {v!r}, {u!r} is not contractible")
     result = G.add_edge(v, u)
-    _check_euler(G, result)
     return result, TransformStep("attach-edge", tuple(sorted((v, u))))
 
 

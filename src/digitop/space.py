@@ -122,9 +122,6 @@ class DigitalSpace:
     def __contains__(self, point_id: object) -> bool:
         return point_id in self._index
 
-    def has_point(self, point_id: str) -> bool:
-        return point_id in self._index
-
     def adjacent(self, p: str, q: str) -> bool:
         i = self._require(p)
         j = self._require(q)

@@ -15,11 +15,13 @@ arbitrary embedded disks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
+from typing import Iterator
 
 from .budget import Budget, ensure_budget
 from .canon import isomorphism
-from .homotopy import debug_checks_enabled
 from .recognition import (
+    NotAManifoldError,
     recognize_closed_manifold,
     recognize_disk,
     recognize_sphere,
@@ -41,10 +43,9 @@ class ContractionStep:
 class CompressionResult:
     space: DigitalSpace
     steps: tuple[ContractionStep, ...]
-    edge_compressed: bool
 
 
-class CompressionVerdict:
+class CompressionVerdict(Enum):
     EDGE_COMPRESSED = "edge-compressed"
     COMPRESSED_UP_TO_BOUND = "compressed-up-to-bound"
     NOT_COMPRESSED = "not-compressed"
@@ -52,18 +53,8 @@ class CompressionVerdict:
 
 @dataclass(frozen=True)
 class CompressionCheck:
-    verdict: str
+    verdict: CompressionVerdict
     witness: tuple[str, ...] | None = None
-
-
-def _check_preserved(before: DigitalSpace, after: DigitalSpace, dim: int) -> None:
-    if debug_checks_enabled():
-        assert before.euler_characteristic() == after.euler_characteristic(), (
-            "transformation changed the Euler characteristic"
-        )
-        assert recognize_closed_manifold(after) == dim, (
-            "transformation broke the manifold structure"
-        )
 
 
 def r_transform(
@@ -75,15 +66,13 @@ def r_transform(
 ) -> DigitalSpace:
     """Replace edge (v, u) by a point adjacent to v, u and O(vu)."""
     budget = ensure_budget(budget)
-    dim = require_closed_manifold(M, budget)
+    require_closed_manifold(M, budget)
     if not M.adjacent(v, u):
         raise ValueError(f"no such edge: {v!r} -- {u!r}")
     if fresh is None:
         fresh = M.fresh_id()
     common = M.joint_rim(v, u).points
-    result = M.add_point(fresh, (v, u) + common).remove_edge(v, u)
-    _check_preserved(M, result, dim)
-    return result
+    return M.add_point(fresh, (v, u) + common).remove_edge(v, u)
 
 
 def contract_disk(
@@ -110,9 +99,7 @@ def contract_disk(
             raise ValueError(f"interior point {y!r} has neighbours outside the disk")
     if fresh is None:
         fresh = M.fresh_id()
-    result = M.delete_points(disk.interior).add_point(fresh, disk.boundary)
-    _check_preserved(M, result, dim)
-    return result
+    return M.delete_points(disk.interior).add_point(fresh, disk.boundary)
 
 
 def find_edge_disks(
@@ -120,50 +107,55 @@ def find_edge_disks(
 ) -> list[tuple[str, str]]:
     """Edges (v, u) whose joint ball is an n-disk with interior {v, u}.
 
-    These are exactly the contraction opportunities compress uses.  A
-    cheap necessary filter runs first: the points of O(v) and O(u) other
-    than v and u must induce an (n-1)-sphere, the boundary the disk
-    would have.
+    These are exactly the contraction opportunities compress uses.
     """
     budget = ensure_budget(budget)
     dim = require_closed_manifold(M, budget)
-    found = []
+    return [(v, u) for v, u, _ in _edge_disks(M, dim, budget)]
+
+
+def _edge_disks(
+    M: DigitalSpace, dim: int, budget: Budget
+) -> Iterator[tuple[str, str, tuple[str, ...]]]:
+    """(v, u, boundary) for each edge-disk of the dim-manifold M, in edge order.
+
+    A cheap necessary filter runs first: the points of O(v) and O(u)
+    other than v and u must induce a (dim-1)-sphere, the boundary the
+    disk would have.
+    """
     for v, u in M.edges:
-        ring = sorted(
-            (set(M.neighbors(v)) | set(M.neighbors(u))) - {v, u}
-        )
+        ring = tuple(sorted((set(M.neighbors(v)) | set(M.neighbors(u))) - {v, u}))
         if recognize_sphere(M.induced_subspace(ring), budget) != dim - 1:
             continue
-        disk_points = sorted(set(ring) | {v, u})
-        disk = recognize_disk(M.induced_subspace(disk_points), budget)
+        disk = recognize_disk(M.induced_subspace(ring + (v, u)), budget)
         if (
             disk is not None
             and disk.dimension == dim
             and set(disk.interior) == {v, u}
         ):
-            found.append((v, u))
-    return found
+            yield v, u, ring
 
 
 def compress(M: DigitalSpace, budget: Budget | None = None) -> CompressionResult:
-    """Contract the first available edge-disk until none remains."""
+    """Contract the first available edge-disk until none remains.
+
+    Each space along the way is recognized once, as a closed manifold of
+    the entry dimension.
+    """
     budget = ensure_budget(budget)
-    require_closed_manifold(M, budget)
+    dim = require_closed_manifold(M, budget)
     current = M
     steps: list[ContractionStep] = []
-    while True:
-        candidates = find_edge_disks(current, budget)
-        if not candidates:
-            break
-        v, u = candidates[0]
-        disk_points = sorted(
-            set(current.neighbors(v)) | set(current.neighbors(u)) | {v, u}
-        )
+    while (disk := next(_edge_disks(current, dim, budget), None)) is not None:
+        v, u, boundary = disk
         fresh = current.fresh_id()
-        boundary = tuple(sorted(set(disk_points) - {v, u}))
-        current = contract_disk(current, disk_points, fresh, budget)
+        current = current.delete_points((v, u)).add_point(fresh, boundary)
+        if recognize_closed_manifold(current, budget) != dim:
+            raise NotAManifoldError(
+                f"contracting {v!r} -- {u!r} left no closed {dim}-manifold"
+            )
         steps.append(ContractionStep((v, u), boundary, fresh))
-    return CompressionResult(current, tuple(steps), True)
+    return CompressionResult(current, tuple(steps))
 
 
 def is_compressed(

@@ -284,3 +284,11 @@ def test_homotopy_distinguish_not_distinguished():
         homotopy_distinguish(support.cycle(4), support.cycle(7))
         is DistinguishVerdict.NOT_DISTINGUISHED
     )
+
+
+def test_homotopy_distinguish_contractible_spaces():
+    # both reduce to a point, yet the verdict is only ever inconclusive
+    assert (
+        homotopy_distinguish(support.path(3), support.complete(4))
+        is DistinguishVerdict.NOT_DISTINGUISHED
+    )

@@ -74,7 +74,42 @@ def test_compress_octahedron_round_trip():
     result = compress(grown)
     assert len(result.steps) == 1
     assert are_isomorphic(result.space, octa)
-    assert result.edge_compressed
+
+
+def _reference_compress(M):
+    """The find-then-contract_disk loop compress is checked against."""
+    current = M
+    steps = []
+    while disks := find_edge_disks(current):
+        v, u = disks[0]
+        ball = sorted(
+            set(current.neighbors(v)) | set(current.neighbors(u)) | {v, u}
+        )
+        fresh = current.fresh_id()
+        steps.append(((v, u), tuple(p for p in ball if p not in (v, u)), fresh))
+        current = contract_disk(current, ball, fresh)
+    return current, steps
+
+
+def test_compress_matches_reference_loop_on_grown_manifolds():
+    bases = [minimal_sphere(2), minimal_sphere(3), torus16(), projective_plane11()]
+    for index, base in enumerate(bases):
+        dim = recognize_closed_manifold(base)
+        chi = support.naive_euler(base)
+        for seed in range(2):
+            rng = random.Random(100 * index + seed)
+            grown = base
+            for _ in range(3):
+                grown = r_transform(grown, *rng.choice(grown.edges))
+            expected_space, expected_steps = _reference_compress(grown)
+            result = compress(grown)
+            assert result.space == expected_space
+            assert [
+                (s.interior_removed, s.boundary, s.new_point) for s in result.steps
+            ] == expected_steps
+            assert recognize_closed_manifold(result.space) == dim
+            assert support.naive_euler(result.space) == chi
+            assert find_edge_disks(result.space) == []
 
 
 def test_compress_fixpoint_is_stable():
