@@ -4,12 +4,27 @@ The algorithm is the usual individualization-refinement search: refine
 an ordered partition of the points until it is equitable, individualize
 one point of the first smallest non-singleton cell, and recurse; the
 canonical form is the lexicographically smallest adjacency encoding over
-all discrete partitions reached.  Two standard prunes keep the highly
-symmetric spaces in this library (minimal spheres, toroidal grids)
-tractable:
+all discrete partitions reached.
+
+Refinement works from a queue of splitter cells, in the style of
+nauty/Traces (McKay & Piperno, "Practical graph isomorphism, II",
+J. Symb. Comput. 60, 2014).  A cell is named by its start position,
+which splitting never moves.  Taking a splitter S off the queue splits
+every cell by the number of neighbours its points have in S, fragments
+ordered by that number.  A split cell that was queued queues all its
+fragments; one that was not leaves off its largest fragment (the first
+on a tie), whose counts follow from the others.  The root queues every
+cell; a child only the point just individualized, because its parent
+partition was already equitable.  Every decision reads positions and
+counts, never point labels, so the result is a canonical form.
+
+Two standard prunes keep the highly symmetric spaces in this library
+(minimal spheres, toroidal grids) tractable:
 
 * automorphisms discovered at equal-encoding leaves merge candidate
-  points into orbits, and only one candidate per orbit is expanded;
+  points into orbits, and only one candidate per orbit is expanded; each
+  search node keeps one union-find and folds in only the automorphisms
+  found since it last looked;
 * when a new automorphism is found, the search backjumps to the deepest
   node shared by the two leaf paths, because the rest of the current
   subtree is an automorphic image of an already explored one.
@@ -46,36 +61,78 @@ class CanonicalForm:
 # -- partition refinement -----------------------------------------------------
 
 
-def _mask(cell: Sequence[int]) -> int:
-    m = 0
-    for v in cell:
-        m |= 1 << v
-    return m
+def _refine(rows: Sequence[int], cells: list[int], queue: list[int]) -> list[int]:
+    """Refine an ordered partition in place until it is equitable.
 
-
-def _refine(rows: Sequence[int], cells: list[list[int]]) -> list[list[int]]:
-    """Refine until equitable: every point in a cell sees every cell equally."""
-    cells = [list(c) for c in cells]
-    changed = True
-    while changed:
-        changed = False
-        masks = [_mask(c) for c in cells]
-        out: list[list[int]] = []
-        for cell in cells:
-            if len(cell) == 1:
-                out.append(cell)
+    cells[s] is the bitmask of the cell starting at position s, and 0 at
+    every other position.  queue holds the starts of the splitter cells;
+    every cell must already see each cell not on it equally.
+    """
+    n = len(cells)
+    cell_of = [0] * n
+    count = 0
+    for s, mask in enumerate(cells):
+        if mask:
+            count += 1
+            while mask:
+                low = mask & -mask
+                cell_of[low.bit_length() - 1] = s
+                mask ^= low
+    queued = [False] * n
+    for s in queue:
+        queued[s] = True
+    queue = list(queue)
+    head = 0
+    while head < len(queue) and count < n:
+        s = queue[head]
+        head += 1
+        queued[s] = False
+        splitter = cells[s]
+        reach = 0
+        m = splitter
+        while m:
+            low = m & -m
+            reach |= rows[low.bit_length() - 1]
+            m ^= low
+        # neighbours of the splitter by cell, then by their count in it
+        hits: dict[int, dict[int, int]] = {}
+        m = reach
+        while m:
+            low = m & -m
+            m ^= low
+            u = low.bit_length() - 1
+            c = cell_of[u]
+            if cells[c] == low:
                 continue
-            by_key: dict[tuple[int, ...], list[int]] = {}
-            for v in cell:
-                key = tuple((rows[v] & m).bit_count() for m in masks)
-                by_key.setdefault(key, []).append(v)
-            if len(by_key) == 1:
-                out.append(cell)
+            k = (rows[u] & splitter).bit_count()
+            by_count = hits.get(c)
+            if by_count is None:
+                hits[c] = {k: low}
             else:
-                changed = True
-                for key in sorted(by_key):
-                    out.append(by_key[key])
-        cells = out
+                by_count[k] = by_count.get(k, 0) | low
+        for c in sorted(hits):
+            by_count = hits[c]
+            rest = cells[c] & ~reach
+            if not rest and len(by_count) == 1:
+                continue
+            fragments = [rest] if rest else []
+            fragments.extend(by_count[k] for k in sorted(by_count))
+            sizes = [f.bit_count() for f in fragments]
+            largest = sizes.index(max(sizes))
+            was_queued = queued[c]
+            pos = c
+            for i, fragment in enumerate(fragments):
+                cells[pos] = fragment
+                if i:
+                    while fragment:
+                        low = fragment & -fragment
+                        cell_of[low.bit_length() - 1] = pos
+                        fragment ^= low
+                if (was_queued or i != largest) and not queued[pos]:
+                    queued[pos] = True
+                    queue.append(pos)
+                pos += sizes[i]
+            count += len(fragments) - 1
     return cells
 
 
@@ -94,23 +151,24 @@ def _encode_order(rows: Sequence[int], order: Sequence[int]) -> tuple[int, ...]:
     return tuple(encoded)
 
 
-def _orbit_reps(n: int, generators: list[tuple[int, ...]], fixed: tuple[int, ...]):
-    """Union-find over orbits of the generators that fix `fixed` pointwise."""
-    parent = list(range(n))
+class _Orbits:
+    """Union-find over the points, merged along automorphisms."""
 
-    def find(x: int) -> int:
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        parent = self.parent
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
-    for gen in generators:
-        if all(gen[v] == v for v in fixed):
-            for v in range(n):
-                a, b = find(v), find(gen[v])
-                if a != b:
-                    parent[a] = b
-    return find
+    def fold(self, gen: tuple[int, ...]) -> None:
+        for v, w in enumerate(gen):
+            a, b = self.find(v), self.find(w)
+            if a != b:
+                self.parent[a] = b
 
 
 # -- the search ---------------------------------------------------------------
@@ -128,33 +186,45 @@ class _Search:
     def run(self) -> None:
         if self.n == 0:
             return
-        cells = _refine(self.rows, [list(range(self.n))])
-        self._descend(cells, ())
+        cells = [0] * self.n
+        cells[0] = (1 << self.n) - 1
+        self._descend(_refine(self.rows, cells, [0]), ())
 
-    def _descend(self, cells: list[list[int]], path: tuple[int, ...]) -> int | None:
+    def _descend(self, cells: list[int], path: tuple[int, ...]) -> int | None:
         """Explore one node; return a backjump depth or None."""
-        target_index = -1
+        target = -1
         target_size = 0
-        for i, cell in enumerate(cells):
-            if len(cell) > 1 and (target_index < 0 or len(cell) < target_size):
-                target_index = i
-                target_size = len(cell)
-        if target_index < 0:
+        s = 0
+        while s < self.n:
+            size = cells[s].bit_count()
+            if size > 1 and (target < 0 or size < target_size):
+                target = s
+                target_size = size
+            s += size
+        if target < 0:
             return self._leaf(cells, path)
 
-        target = cells[target_index]
+        cell = cells[target]
+        orbits = _Orbits(self.n)
+        folded = 0
         tried: list[int] = []
-        for v in target:
+        rest = cell
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
             if tried:
-                find = _orbit_reps(self.n, self.generators, path)
-                if any(find(v) == find(u) for u in tried):
+                for gen in self.generators[folded:]:
+                    if all(gen[p] == p for p in path):
+                        orbits.fold(gen)
+                folded = len(self.generators)
+                root = orbits.find(v)
+                if any(orbits.find(u) == root for u in tried):
                     continue
-            child = (
-                cells[:target_index]
-                + [[v], [u for u in target if u != v]]
-                + cells[target_index + 1 :]
-            )
-            result = self._descend(_refine(self.rows, child), path + (v,))
+            child = cells.copy()
+            child[target] = low
+            child[target + 1] = cell ^ low
+            result = self._descend(_refine(self.rows, child, [target]), path + (v,))
             tried.append(v)
             if result is not None:
                 if result < len(path):
@@ -162,8 +232,8 @@ class _Search:
                 # backjump landed here: drop the rest of v's subtree, go on
         return None
 
-    def _leaf(self, cells: list[list[int]], path: tuple[int, ...]) -> int | None:
-        order = tuple(cell[0] for cell in cells)
+    def _leaf(self, cells: list[int], path: tuple[int, ...]) -> int | None:
+        order = tuple(cell.bit_length() - 1 for cell in cells)
         encoding = _encode_order(self.rows, order)
         if self.best_encoding is None or encoding < self.best_encoding:
             self.best_encoding = encoding
@@ -185,20 +255,26 @@ class _Search:
         return None
 
 
-def _encoding_bytes(n: int, encoded_rows: tuple[int, ...]) -> bytes:
+def _canonical(
+    rows: Sequence[int],
+) -> tuple[bytes, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The one canonical search: (encoding, canonical order, automorphisms).
+
+    order[p] is the row placed at canonical position p; the automorphisms
+    are permutations of row indices found along the way.
+    """
+    search = _Search(rows)
+    search.run()
+    n = search.n
     width = (n + 7) // 8
     parts = [n.to_bytes(2, "big")]
-    parts.extend(row.to_bytes(width, "big") for row in encoded_rows)
-    return b"".join(parts)
+    parts.extend(row.to_bytes(width, "big") for row in search.best_encoding or ())
+    return b"".join(parts), search.best_order or (), tuple(search.generators)
 
 
 def canonical_encoding_rows(rows: Sequence[int]) -> bytes:
     """Canonical encoding of a graph given as bitmask adjacency rows."""
-    search = _Search(rows)
-    search.run()
-    if search.best_encoding is None:
-        return _encoding_bytes(0, ())
-    return _encoding_bytes(search.n, search.best_encoding)
+    return _canonical(rows)[0]
 
 
 # -- public API on spaces -------------------------------------------------------
@@ -209,23 +285,11 @@ def canonical_form(space: DigitalSpace) -> CanonicalForm:
     cached = space._cache.get("canonical_form")
     if cached is not None:
         return cached
-    search = _Search(space._rows)
-    search.run()
-    if search.best_order is None:
-        form = CanonicalForm(_encoding_bytes(0, ()), ())
-    else:
-        relabeling = tuple(space.points[v] for v in search.best_order)
-        form = CanonicalForm(
-            _encoding_bytes(search.n, search.best_encoding), relabeling
-        )
+    encoding, order, generators = _canonical(space._rows)
+    form = CanonicalForm(encoding, tuple(space.points[v] for v in order))
     space._cache["canonical_form"] = form
-    space._cache.setdefault("generators", tuple(search.generators))
+    space._cache["generators"] = generators
     return form
-
-
-def _generators(space: DigitalSpace) -> tuple[tuple[int, ...], ...]:
-    canonical_form(space)
-    return space._cache["generators"]
 
 
 def point_orbits(space: DigitalSpace) -> tuple[tuple[str, ...], ...]:
@@ -238,16 +302,19 @@ def point_orbits(space: DigitalSpace) -> tuple[tuple[str, ...], ...]:
     cached = space._cache.get("point_orbits")
     if cached is not None:
         return cached
+    canonical_form(space)
     n = len(space)
-    find = _orbit_reps(n, list(_generators(space)), ())
+    orbits = _Orbits(n)
+    for gen in space._cache["generators"]:
+        orbits.fold(gen)
     groups: dict[int, list[str]] = {}
     for v in range(n):
-        groups.setdefault(find(v), []).append(space.points[v])
-    orbits = tuple(
+        groups.setdefault(orbits.find(v), []).append(space.points[v])
+    result = tuple(
         tuple(members) for _, members in sorted(groups.items(), key=lambda kv: kv[1][0])
     )
-    space._cache["point_orbits"] = orbits
-    return orbits
+    space._cache["point_orbits"] = result
+    return result
 
 
 def are_isomorphic(left: DigitalSpace, right: DigitalSpace) -> bool:

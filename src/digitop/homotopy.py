@@ -49,6 +49,26 @@ def is_contractible(G: DigitalSpace, budget: Budget | None = None) -> bool:
 
 
 def _contractible(G: DigitalSpace, budget: Budget) -> bool:
+    """Run the search with an explicit stack of _contractible_steps.
+
+    Each step yields the subspace it needs a verdict on and is resumed
+    with that verdict, so deep deletion chains use no Python recursion.
+    """
+    stack = [_contractible_steps(G, budget)]
+    verdict = None
+    while stack:
+        try:
+            sub = stack[-1].send(verdict)
+        except StopIteration as done:
+            stack.pop()
+            verdict = done.value
+        else:
+            stack.append(_contractible_steps(sub, budget))
+            verdict = None
+    return verdict
+
+
+def _contractible_steps(G: DigitalSpace, budget: Budget):
     n = len(G)
     if n == 0:
         return False
@@ -66,13 +86,16 @@ def _contractible(G: DigitalSpace, budget: Budget) -> bool:
     elif G.dominating_point() is not None:
         result = True
     else:
-        simple = [v for v in G.points if _contractible(G.rim(v), budget)]
-        if len(simple) < 2:
-            result = False
-        else:
-            result = any(
-                _contractible(G.delete_points([v]), budget) for v in simple
-            )
+        simple = []
+        for v in G.points:
+            if (yield G.rim(v)):
+                simple.append(v)
+        result = False
+        if len(simple) >= 2:
+            for v in simple:
+                if (yield G.delete_points([v])):
+                    result = True
+                    break
     _CONTRACTIBLE.put(key, result)
     return result
 

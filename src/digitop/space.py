@@ -311,13 +311,9 @@ class DigitalSpace:
 
     # -- global structure ------------------------------------------------------
 
-    def is_connected(self) -> bool:
-        """True for the empty and one-point spaces and for connected graphs."""
-        n = len(self._ids)
-        if n <= 1:
-            return True
-        seen = 1
-        frontier = 1
+    def _reach(self, start: int) -> int:
+        """Bitmask of every point joined by a path to a point of start."""
+        seen = frontier = start
         while frontier:
             reach = 0
             f = frontier
@@ -327,25 +323,20 @@ class DigitalSpace:
                 reach |= self._rows[i]
             frontier = reach & ~seen
             seen |= reach
-        return seen == (1 << n) - 1
+        return seen
+
+    def is_connected(self) -> bool:
+        """True for the empty and one-point spaces and for connected graphs."""
+        n = len(self._ids)
+        if n <= 1:
+            return True
+        return self._reach(1) == (1 << n) - 1
 
     def connected_components(self) -> tuple[tuple[str, ...], ...]:
-        n = len(self._ids)
-        unvisited = (1 << n) - 1
+        unvisited = (1 << len(self._ids)) - 1
         comps = []
         while unvisited:
-            start = unvisited & -unvisited
-            seen = start
-            frontier = start
-            while frontier:
-                reach = 0
-                f = frontier
-                while f:
-                    i = (f & -f).bit_length() - 1
-                    f &= f - 1
-                    reach |= self._rows[i]
-                frontier = reach & ~seen
-                seen |= reach
+            seen = self._reach(unvisited & -unvisited)
             comps.append(self._ids_of(seen))
             unvisited &= ~seen
         return tuple(comps)
@@ -374,8 +365,6 @@ class DigitalSpace:
         exponentially in pathological inputs.
         """
         key = ("cliques", max_size)
-        if max_size is None and "cliques" in self._cache:
-            return self._cache["cliques"]
         if key in self._cache:
             return self._cache[key]
         rows = self._rows
@@ -401,10 +390,7 @@ class DigitalSpace:
         if n:
             extend(0, (1 << n) - 1)
         vec = CliqueVector(tuple(counts))
-        if max_size is None:
-            self._cache["cliques"] = vec
-        else:
-            self._cache[key] = vec
+        self._cache[key] = vec
         return vec
 
     def euler_characteristic(self) -> int:

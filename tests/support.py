@@ -118,6 +118,40 @@ def all_connected_rows(max_points: int):
         yield from tier.values()
 
 
+# -- round-based partition refinement -----------------------------------------------
+
+
+def reference_refine(rows, cells: list[list[int]]) -> list[list[int]]:
+    """Refine an ordered partition until it is equitable, one round at a time.
+
+    Every round keys each point by its neighbour count in every cell and
+    splits cells by key; this was the library's refinement before the
+    splitter queue, and stays here as its reference.
+    """
+    cells = [list(c) for c in cells]
+    changed = True
+    while changed:
+        changed = False
+        masks = [sum(1 << v for v in c) for c in cells]
+        out: list[list[int]] = []
+        for cell in cells:
+            if len(cell) == 1:
+                out.append(cell)
+                continue
+            by_key: dict[tuple[int, ...], list[int]] = {}
+            for v in cell:
+                key = tuple((rows[v] & m).bit_count() for m in masks)
+                by_key.setdefault(key, []).append(v)
+            if len(by_key) == 1:
+                out.append(cell)
+            else:
+                changed = True
+                for key in sorted(by_key):
+                    out.append(by_key[key])
+        cells = out
+    return cells
+
+
 # -- literal-definition contractibility --------------------------------------------
 
 _NAIVE_MEMO: dict[tuple[int, ...], bool] = {}

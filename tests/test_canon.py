@@ -14,8 +14,10 @@ from digitop import (
     minimal_sphere,
     point_orbits,
     projective_plane11,
+    r_transform,
     torus16,
 )
+from digitop import canon
 
 
 def test_relabeling_invariance():
@@ -128,3 +130,150 @@ def test_highly_symmetric_space():
     S = minimal_sphere(7)
     assert len(canonical_form(S).relabeling) == 16
     assert len(point_orbits(S)) == 1
+
+
+# -- splitter-queue refinement against the round-based reference ------------------
+
+
+def _by_start(cells: list[list[int]], n: int) -> list[int]:
+    """Ordered partition as refine takes it: cell bitmasks at their starts."""
+    out = [0] * n
+    start = 0
+    for cell in cells:
+        out[start] = sum(1 << v for v in cell)
+        start += len(cell)
+    return out
+
+
+def _starts(by_start: list[int]) -> list[int]:
+    return [s for s, mask in enumerate(by_start) if mask]
+
+
+def _cell_sets(by_start: list[int]) -> set[frozenset[int]]:
+    return {
+        frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
+        for mask in by_start
+        if mask
+    }
+
+
+def _is_equitable(rows, by_start: list[int]) -> bool:
+    masks = [mask for mask in by_start if mask]
+    for cell in masks:
+        members = [v for v in range(cell.bit_length()) if cell >> v & 1]
+        for other in masks:
+            if len({(rows[v] & other).bit_count() for v in members}) > 1:
+                return False
+    return True
+
+
+def _check_refinement(rows, cells: list[list[int]]) -> list[int]:
+    """Refine cells both ways and check the result; return the refinement."""
+    n = len(rows)
+    start = _by_start(cells, n)
+    refined = canon._refine(rows, list(start), _starts(start))
+    assert _cell_sets(refined) == _cell_sets(
+        _by_start(support.reference_refine(rows, cells), n)
+    )
+    assert _is_equitable(rows, refined)
+    # every input cell is split in place: its fragments fill its positions
+    for s in _starts(start):
+        end = s + start[s].bit_count()
+        assert sum(refined[s:end]) == start[s] and refined[s] != 0
+    return refined
+
+
+def _check_individualized(rows, refined: list[int], rng) -> None:
+    """Refining a child from its new singleton equals refining it fully."""
+    for s in _starts(refined):
+        cell = refined[s]
+        if cell.bit_count() < 2:
+            continue
+        members = [v for v in range(cell.bit_length()) if cell >> v & 1]
+        v = rng.choice(members)
+        child = list(refined)
+        child[s] = 1 << v
+        child[s + 1] = cell ^ (1 << v)
+        from_singleton = canon._refine(rows, list(child), [s])
+        assert _is_equitable(rows, from_singleton)
+        assert _cell_sets(from_singleton) == _cell_sets(
+            canon._refine(rows, list(child), _starts(child))
+        )
+
+
+def test_refine_matches_reference_on_corpus():
+    rng = random.Random(7)
+    graphs = 0
+    for rows in support.all_connected_rows(7):
+        graphs += 1
+        refined = _check_refinement(rows, [list(range(len(rows)))])
+        _check_individualized(rows, refined, rng)
+    assert graphs == 996
+
+
+def test_refine_matches_reference_on_random_partitions():
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randint(1, 40)
+        density = rng.random()
+        rows = [0] * n
+        for i, j in itertools.combinations(range(n), 2):
+            if rng.random() < density:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+        labels = [rng.randrange(rng.randint(1, 4)) for _ in range(n)]
+        cells = [
+            [v for v in range(n) if labels[v] == label] for label in set(labels)
+        ]
+        rng.shuffle(cells)
+        refined = _check_refinement(rows, cells)
+        _check_individualized(rows, refined, rng)
+
+
+# -- invariance on large and symmetric spaces ------------------------------------------
+
+
+def _random_tree(rng, size: int) -> DigitalSpace:
+    ids = [f"t{i}" for i in range(size)]
+    return DigitalSpace(ids, [(ids[i], ids[rng.randrange(i)]) for i in range(1, size)])
+
+
+def _torus_grid(k: int) -> DigitalSpace:
+    """Triangulated k x k toroidal grid, as torus16 is for k = 4."""
+    ids = {(i, j): f"g{i}_{j}" for i in range(k) for j in range(k)}
+    edges = [
+        (ids[i, j], ids[(i + di) % k, (j + dj) % k])
+        for i in range(k)
+        for j in range(k)
+        for di, dj in ((1, 0), (0, 1), (1, 1))
+    ]
+    return DigitalSpace(ids.values(), edges)
+
+
+def test_relabeling_invariance_on_large_spaces():
+    rng = random.Random(2026)
+    grown_torus = torus16()
+    while len(grown_torus) < 40:
+        grown_torus = r_transform(grown_torus, *rng.choice(grown_torus.edges))
+    targets = [
+        support.path(150),
+        _random_tree(rng, 100),
+        _random_tree(rng, 103),
+        support.cycle(120),
+        _torus_grid(8),
+        grown_torus,
+    ]
+    for G in targets:
+        base = canonical_form(G).encoding
+        for _ in range(3):
+            assert canonical_form(support.shuffled(G, rng)).encoding == base
+
+
+def test_cycle_differs_from_two_disjoint_cycles():
+    twelve = support.cycle(12)
+    two_sixes = DigitalSpace(
+        support.cycle(6, "a").points + support.cycle(6, "b").points,
+        support.cycle(6, "a").edges + support.cycle(6, "b").edges,
+    )
+    assert canonical_form(twelve).encoding != canonical_form(two_sixes).encoding
+    assert not are_isomorphic(twelve, two_sixes)

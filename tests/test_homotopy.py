@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -32,6 +33,7 @@ from digitop import (
     simple_points,
     torus16,
 )
+from digitop import cache
 
 
 def test_contractible_examples():
@@ -53,6 +55,22 @@ def test_agrees_with_literal_definition_exhaustively():
     assert checked == 996
     assert mismatches == 0
     assert 0 < contractible < checked
+
+
+def test_deep_deletion_chain_needs_no_recursion():
+    """A path needs ~120 nested deletions; the search must not recurse on them."""
+    cache.clear_all()
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        assert is_contractible(support.path(120))
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_simple_point_examples():
