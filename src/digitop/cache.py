@@ -11,12 +11,14 @@ from __future__ import annotations
 
 MISSING = object()
 
+# entries per table before it is dropped
+CAPACITY = 200_000
+
 _REGISTRY: list["FormCache"] = []
 
 
 class FormCache:
-    def __init__(self, capacity: int = 200_000):
-        self.capacity = capacity
+    def __init__(self):
         self._data: dict = {}
         _REGISTRY.append(self)
 
@@ -24,7 +26,7 @@ class FormCache:
         return self._data.get(key, MISSING)
 
     def put(self, key, value) -> None:
-        if len(self._data) >= self.capacity:
+        if len(self._data) >= CAPACITY:
             self._data.clear()
         self._data[key] = value
 

@@ -29,15 +29,7 @@ from .homotopy import (
     is_contractible,
     reduce_space,
 )
-from .recognition import (
-    NotAManifoldError,
-    SpaceKind,
-    recognize,
-    recognize_closed_manifold,
-    recognize_disk,
-    recognize_manifold_with_boundary,
-    recognize_sphere,
-)
+from .recognition import NotAManifoldError, RecognitionResult, SpaceKind, recognize
 from .space import DigitalSpace
 from .spacefile import SpaceFileError, export_dot, parse, serialize
 from .transform import compress, r_transform
@@ -116,19 +108,25 @@ def _cmd_contractible(args: argparse.Namespace) -> int:
     return EXIT_OK if verdict else EXIT_NEGATIVE
 
 
-_EXPECTATIONS = {
-    "sphere": lambda G, b: recognize_sphere(G, b) is not None,
-    "disk": lambda G, b: recognize_disk(G, b) is not None,
-    "manifold": lambda G, b: recognize_closed_manifold(G, b) is not None,
-    "manifold-with-boundary": lambda G, b: recognize_manifold_with_boundary(G, b)
-    is not None,
-}
+def _is_expected(result: RecognitionResult, expect: str | None) -> bool:
+    """Whether the most specific kind found is, in particular, of kind expect.
+
+    Spheres are closed manifolds, and disks of dimension >= 1 are
+    manifolds with boundary; the one-point 0-disk is not.
+    """
+    kind = result.kind
+    return {
+        None: kind is not SpaceKind.NONE,
+        "sphere": kind is SpaceKind.SPHERE,
+        "disk": kind is SpaceKind.DISK,
+        "manifold": kind in (SpaceKind.SPHERE, SpaceKind.CLOSED_MANIFOLD),
+        "manifold-with-boundary": kind is SpaceKind.MANIFOLD_WITH_BOUNDARY
+        or (kind is SpaceKind.DISK and result.dimension >= 1),
+    }[expect]
 
 
 def _cmd_recognize(args: argparse.Namespace) -> int:
-    G = _read_space(args.file)
-    budget = _budget(args)
-    result = recognize(G, budget)
+    result = recognize(_read_space(args.file), _budget(args))
     lines = [result.kind.name]
     if result.dimension is not None:
         lines.append(f"dimension {result.dimension}")
@@ -137,11 +135,7 @@ def _cmd_recognize(args: argparse.Namespace) -> int:
     if result.interior is not None:
         lines.append(" ".join(("interior",) + result.interior))
     _emit("\n".join(lines) + "\n", None)
-    if args.expect is not None:
-        accepted = _EXPECTATIONS[args.expect](G, budget)
-    else:
-        accepted = result.kind is not SpaceKind.NONE
-    return EXIT_OK if accepted else EXIT_NEGATIVE
+    return EXIT_OK if _is_expected(result, args.expect) else EXIT_NEGATIVE
 
 
 def _cmd_euler(args: argparse.Namespace) -> int:

@@ -269,10 +269,12 @@ def contractible_witness(
     current = G
     while len(current) > 1:
         for v in current.points:
-            if is_simple_point(current, v, budget) and is_contractible(
-                current.delete_points([v]), budget
-            ):
-                current, step = delete_simple_point(current, v, budget)
+            try:
+                after, step = delete_simple_point(current, v, budget)
+            except NotSimpleError:
+                continue
+            if is_contractible(after, budget):
+                current = after
                 steps.append(step)
                 break
         else:  # pragma: no cover - contradicts contractibility
@@ -312,93 +314,77 @@ def reduce_space(
     of raising, so the best space found so far is still returned.
     """
     budget = ensure_budget(budget)
-    reducer = _Reducer(G, budget)
-    exhausted = False
+    if strategy is ReductionStrategy.DELETE_ONLY:
+        moves = _delete_moves(G, budget)
+    elif strategy is ReductionStrategy.ATTACH_EDGES:
+        moves = _attach_moves(G, budget)
+    else:
+        raise ValueError(f"unknown strategy: {strategy!r}")
+    # current and steps stay consistent when the budget runs out
+    # mid-sweep: a space is only yielded once its move has succeeded
+    current, steps, exhausted = G, [], False
     try:
-        if strategy is ReductionStrategy.DELETE_ONLY:
-            reducer.delete_sweep()
-        elif strategy is ReductionStrategy.ATTACH_EDGES:
-            reducer.attach_then_delete()
-        else:
-            raise ValueError(f"unknown strategy: {strategy!r}")
+        for current, step in moves:
+            steps.append(step)
     except BudgetExceeded:
         exhausted = True
     trace = TransformTrace(
-        canonical_form(G).encoding,
-        tuple(reducer.steps),
-        canonical_form(reducer.current).encoding,
+        canonical_form(G).encoding, tuple(steps), canonical_form(current).encoding
     )
-    return ReduceResult(reducer.current, trace, exhausted)
+    return ReduceResult(current, trace, exhausted)
 
 
-class _Reducer:
-    """Greedy reduction state; current and steps stay consistent even
-    when a budget runs out in the middle of a sweep, because the space
-    is only replaced after a transformation has fully succeeded."""
+def _first_move(G: DigitalSpace, move, candidates, budget: Budget):
+    """(space, step) of the first candidate move that is simple, else None."""
+    for args in candidates:
+        try:
+            return move(G, *args, budget)
+        except NotSimpleError:
+            pass
+    return None
 
-    def __init__(self, G: DigitalSpace, budget: Budget):
-        self.current = G
-        self.steps: list[TransformStep] = []
-        self.budget = budget
 
-    def delete_sweep(self) -> None:
-        """Delete simple points, then simple edges, until neither applies."""
-        while True:
-            progressed = False
-            while len(self.current) > 1:
-                v = next(
-                    (
-                        p
-                        for p in self.current.points
-                        if is_simple_point(self.current, p, self.budget)
-                    ),
-                    None,
-                )
-                if v is None:
-                    break
-                self.current, step = delete_simple_point(self.current, v, self.budget)
-                self.steps.append(step)
-                progressed = True
-            while True:
-                edge = next(
-                    (
-                        e
-                        for e in self.current.edges
-                        if is_simple_edge(self.current, e[0], e[1], self.budget)
-                    ),
-                    None,
-                )
-                if edge is None:
-                    break
-                self.current, step = delete_simple_edge(
-                    self.current, edge[0], edge[1], self.budget
-                )
-                self.steps.append(step)
-                progressed = True
-            if not progressed:
-                return
+def _delete_moves(G: DigitalSpace, budget: Budget):
+    """Delete simple points, then simple edges, until neither applies;
+    yields each (space, step) and returns the final space."""
+    while True:
+        progressed = False
+        while len(G) > 1 and (
+            done := _first_move(G, delete_simple_point, zip(G.points), budget)
+        ):
+            G = done[0]
+            yield done
+            progressed = True
+        while done := _first_move(G, delete_simple_edge, G.edges, budget):
+            G = done[0]
+            yield done
+            progressed = True
+        if not progressed:
+            return G
 
-    def attach_then_delete(self) -> None:
-        while True:
-            size_before = (len(self.current), self.current.edge_count)
-            # attach until no non-adjacent pair has a contractible common rim
-            attached = True
-            while attached:
-                attached = False
-                points = self.current.points
-                for i, v in enumerate(points):
-                    for u in points[i + 1 :]:
-                        if self.current.adjacent(v, u):
-                            continue
-                        if is_contractible(self.current.joint_rim(v, u), self.budget):
-                            self.current, step = attach_simple_edge(
-                                self.current, v, u, self.budget
-                            )
-                            self.steps.append(step)
-                            attached = True
-            self.delete_sweep()
-            if (len(self.current), self.current.edge_count) == size_before:
-                return
+
+def _attach_moves(G: DigitalSpace, budget: Budget):
+    """Attach every simple edge, in pair order, then delete; repeat
+    until a round leaves the point and edge counts unchanged."""
+    while True:
+        size_before = (len(G), G.edge_count)
+        attached = True
+        while attached:
+            attached = False
+            points = G.points
+            for i, v in enumerate(points):
+                for u in points[i + 1 :]:
+                    if G.adjacent(v, u):
+                        continue
+                    try:
+                        G, step = attach_simple_edge(G, v, u, budget)
+                    except NotSimpleError:
+                        continue
+                    yield G, step
+                    attached = True
+        G = yield from _delete_moves(G, budget)
+        if (len(G), G.edge_count) == size_before:
+            return G
 
 
 # -- homotopy comparison -----------------------------------------------------------

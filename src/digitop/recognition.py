@@ -1,12 +1,14 @@
 """Recognition of digital spheres, disks and manifolds.
 
-Everything here is recursive over rims.  A digital n-sphere is two
-isolated points when n = 0; for n > 0 it is a connected space in which
-every rim is an (n-1)-sphere and every punctured space G - v is
-contractible.  An n-disk is a sphere minus a point, a closed n-manifold
-is a connected space whose rims are all (n-1)-spheres, and a manifold
-with (spherical) boundary decomposes into interior points with sphere
-rims and boundary points with disk rims.
+Each kind is one test over rims, as the definitions read.  A digital
+n-sphere is two isolated points when n = 0; for n > 0 it is a connected
+space in which every rim is an (n-1)-sphere (_closed_dim) and every
+punctured space G - v is contractible.  A closed n-manifold is the
+first half of that: _closed_dim alone.  An n-disk is a sphere minus a
+point, so G is a disk exactly when a fresh apex over the points whose
+rims are not spheres makes an n-sphere (the cone test).  A manifold
+with (spherical) boundary splits (_split) into interior points with
+sphere rims and boundary points with disk rims.
 
 Sphere recognition is memoized by canonical form.  Punctured-space
 checks only need one representative per automorphism orbit, which is
@@ -71,21 +73,40 @@ def _sphere(G: DigitalSpace, budget: Budget) -> int | None:
     if hit is not MISSING:
         return hit
     budget.charge()
-    result = None
-    if G.is_connected():
-        # dimension is fixed by the first point's rim, then verified globally
-        first_dim = _sphere(G.rim(G.points[0]), budget)
-        if first_dim is not None and all(
-            _sphere(G.rim(v), budget) == first_dim for v in G.points[1:]
-        ):
-            representatives = [orbit[0] for orbit in point_orbits(G)]
-            if all(
-                is_contractible(G.delete_points([v]), budget)
-                for v in representatives
-            ):
-                result = first_dim + 1
-    _SPHERE.put(key, result)
-    return result
+    n = _closed_dim(G, budget)
+    if n is not None and not all(
+        is_contractible(G.delete_points([orbit[0]]), budget)
+        for orbit in point_orbits(G)
+    ):
+        n = None
+    _SPHERE.put(key, n)
+    return n
+
+
+def _closed_dim(G: DigitalSpace, budget: Budget) -> int | None:
+    """n if G is connected and every rim is an (n-1)-sphere, else None.
+
+    The first point's rim fixes the dimension; the scan stops at the
+    first rim that disagrees.
+    """
+    if not G.is_connected():
+        return None
+    rim_dim = _sphere(G.rim(G.points[0]), budget)
+    if rim_dim is None or any(
+        _sphere(G.rim(v), budget) != rim_dim for v in G.points[1:]
+    ):
+        return None
+    return rim_dim + 1
+
+
+def _split(
+    G: DigitalSpace, budget: Budget
+) -> tuple[list[str], list[str], set[int]]:
+    """Points with sphere rims, the other points, and those rims' dimensions."""
+    rim_dims = {v: _sphere(G.rim(v), budget) for v in G.points}
+    interior = [v for v, dim in rim_dims.items() if dim is not None]
+    boundary = [v for v, dim in rim_dims.items() if dim is None]
+    return interior, boundary, set(rim_dims.values()) - {None}
 
 
 def recognize_disk(
@@ -93,36 +114,20 @@ def recognize_disk(
 ) -> DiskDecomposition | None:
     """(n, boundary, interior) if G is a digital n-disk, else None.
 
-    Candidate interior points are those whose rim is a sphere; the final
-    authority is the cone test: attaching a fresh apex adjacent to
-    exactly the candidate boundary must produce an n-sphere, which is
-    literally the definition of a disk read backwards.
+    Points whose rims are spheres are the candidate interior.  The cone
+    test decides: a fresh apex adjacent to exactly the other points must
+    make an n-sphere, which is the definition of a disk read backwards.
+    It implies that G (the cone minus its apex) is contractible and that
+    the boundary (the apex's rim) is an (n-1)-sphere.
     """
     budget = ensure_budget(budget)
     if len(G) == 1:
         return DiskDecomposition(0, (), (G.points[0],))
-    if len(G) == 0:
-        return None
-    if not is_contractible(G, budget):
-        return None
-    boundary: list[str] = []
-    interior: list[str] = []
-    rim_dims = set()
-    for v in G.points:
-        dim = _sphere(G.rim(v), budget)
-        if dim is None:
-            boundary.append(v)
-        else:
-            interior.append(v)
-            rim_dims.add(dim)
+    interior, boundary, rim_dims = _split(G, budget)
     if not interior or not boundary or len(rim_dims) != 1:
         return None
     n = rim_dims.pop() + 1
-    boundary_space = G.induced_subspace(boundary)
-    if _sphere(boundary_space, budget) != n - 1:
-        return None
-    apex = G.fresh_id("apex")
-    if _sphere(G.add_point(apex, boundary), budget) != n:
+    if _sphere(G.add_point(G.fresh_id("apex"), boundary), budget) != n:
         return None
     return DiskDecomposition(n, tuple(boundary), tuple(interior))
 
@@ -135,21 +140,9 @@ def recognize_closed_manifold(
     Covers the low-dimensional conventions: S0 is the closed 0-manifold
     and cycles of length >= 4 are the closed 1-manifolds.
     """
-    budget = ensure_budget(budget)
-    count = len(G)
-    if count == 2 and G.edge_count == 0:
+    if len(G) == 2 and G.edge_count == 0:
         return 0
-    if count == 0 or not G.is_connected():
-        return None
-    dims = set()
-    for v in G.points:
-        dim = _sphere(G.rim(v), budget)
-        if dim is None:
-            return None
-        dims.add(dim)
-        if len(dims) > 1:
-            return None
-    return dims.pop() + 1
+    return _closed_dim(G, ensure_budget(budget)) if len(G) else None
 
 
 def recognize_manifold_with_boundary(
@@ -163,52 +156,37 @@ def recognize_manifold_with_boundary(
     budget = ensure_budget(budget)
     if len(G) < 2 or not G.is_connected():
         return None
-    boundary: list[str] = []
-    interior: list[str] = []
-    dims = set()
-    for v in G.points:
-        rim = G.rim(v)
-        sphere_dim = _sphere(rim, budget)
-        if sphere_dim is not None:
-            interior.append(v)
-            dims.add(sphere_dim + 1)
-            continue
-        disk = recognize_disk(rim, budget)
-        if disk is not None:
-            boundary.append(v)
-            dims.add(disk.dimension + 1)
-            continue
+    interior, boundary, rim_dims = _split(G, budget)
+    if not interior or not boundary or len(rim_dims) != 1:
         return None
-    if len(dims) != 1 or not boundary or not interior:
-        return None
-    n = dims.pop()
+    n = rim_dims.pop() + 1
+    for v in boundary:
+        disk = recognize_disk(G.rim(v), budget)
+        if disk is None or disk.dimension != n - 1:
+            return None
     if _sphere(G.induced_subspace(boundary), budget) != n - 1:
         return None
     return DiskDecomposition(n, tuple(boundary), tuple(interior))
 
 
 def recognize(G: DigitalSpace, budget: Budget | None = None) -> RecognitionResult:
-    """Most specific recognition: sphere, then disk, then the manifolds."""
+    """Most specific recognition: sphere, closed manifold, disk, then
+    manifold with boundary.  No closed manifold is a disk, so trying
+    closed manifolds first changes no verdict and spares them a disk pass.
+    """
     budget = ensure_budget(budget)
     dim = recognize_sphere(G, budget)
     if dim is not None:
         return RecognitionResult(SpaceKind.SPHERE, dim)
-    disk = recognize_disk(G, budget)
-    if disk is not None:
-        return RecognitionResult(
-            SpaceKind.DISK, disk.dimension, disk.boundary, disk.interior
-        )
     dim = recognize_closed_manifold(G, budget)
     if dim is not None:
         return RecognitionResult(SpaceKind.CLOSED_MANIFOLD, dim)
-    bounded = recognize_manifold_with_boundary(G, budget)
-    if bounded is not None:
-        return RecognitionResult(
-            SpaceKind.MANIFOLD_WITH_BOUNDARY,
-            bounded.dimension,
-            bounded.boundary,
-            bounded.interior,
-        )
+    split = recognize_disk(G, budget)
+    if split is not None:
+        return RecognitionResult(SpaceKind.DISK, *split)
+    split = recognize_manifold_with_boundary(G, budget)
+    if split is not None:
+        return RecognitionResult(SpaceKind.MANIFOLD_WITH_BOUNDARY, *split)
     return RecognitionResult(SpaceKind.NONE)
 
 

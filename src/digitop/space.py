@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .budget import Budget, ensure_budget
+from .budget import Budget
 
 _ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -352,25 +352,20 @@ class DigitalSpace:
 
     # -- clique complex ----------------------------------------------------------
 
-    def clique_vector(
-        self,
-        max_size: int | None = None,
-        max_cliques: int | None = DEFAULT_CLIQUE_LIMIT,
-    ) -> CliqueVector:
-        """Count cliques of every size (optionally capped).
+    def clique_vector(self, max_cliques: int = DEFAULT_CLIQUE_LIMIT) -> CliqueVector:
+        """Count cliques of every size.
 
         Enumerates cliques as increasing index sequences, so each clique
         is visited exactly once.  Exceeding max_cliques raises via the
         budget machinery; the cap exists because clique counts can grow
         exponentially in pathological inputs.
         """
-        key = ("cliques", max_size)
-        if key in self._cache:
-            return self._cache[key]
+        if "cliques" in self._cache:
+            return self._cache["cliques"]
         rows = self._rows
         n = len(self._ids)
         counts: list[int] = []
-        budget = Budget(max_cliques) if max_cliques is not None else Budget(None)
+        budget = Budget(max_cliques)
 
         def bump(size: int) -> None:
             while len(counts) < size:
@@ -384,13 +379,12 @@ class DigitalSpace:
                 cand &= cand - 1
                 budget.charge()
                 bump(size + 1)
-                if max_size is None or size + 1 < max_size:
-                    extend(size + 1, cand & rows[i])
+                extend(size + 1, cand & rows[i])
 
         if n:
             extend(0, (1 << n) - 1)
         vec = CliqueVector(tuple(counts))
-        self._cache[key] = vec
+        self._cache["cliques"] = vec
         return vec
 
     def euler_characteristic(self) -> int:

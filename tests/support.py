@@ -10,7 +10,9 @@ from __future__ import annotations
 import itertools
 
 from digitop import DigitalSpace, is_contractible
-from digitop.canon import canonical_encoding_rows
+from digitop.budget import Budget, ensure_budget
+from digitop.canon import canonical_encoding_rows, canonical_form, point_orbits
+from digitop.recognition import DiskDecomposition, RecognitionResult, SpaceKind
 
 # -- builders ----------------------------------------------------------------------
 
@@ -150,6 +152,175 @@ def reference_refine(rows, cells: list[list[int]]) -> list[list[int]]:
                     out.append(by_key[key])
         cells = out
     return cells
+
+
+# -- recognition, one rim loop per kind ----------------------------------------------
+#
+# The library's recognizers before each definition became one test: four
+# rim loops, and a disk test with contractibility and boundary-sphere
+# prefilters ahead of the cone test.  Kept with their own sphere memo as
+# the reference the rewrite must agree with.
+
+_REFERENCE_SPHERE: dict[bytes, int | None] = {}
+
+
+def reference_sphere(G: DigitalSpace, budget: Budget | None = None) -> int | None:
+    """Dimension n if G is a digital n-sphere, else None."""
+    return _reference_sphere(G, ensure_budget(budget))
+
+
+def _reference_sphere(G: DigitalSpace, budget: Budget) -> int | None:
+    count = len(G)
+    if count == 2 and G.edge_count == 0:
+        return 0
+    if count < 4:
+        # no sphere besides S0 has fewer than four points
+        return None
+    key = canonical_form(G).encoding
+    if key in _REFERENCE_SPHERE:
+        return _REFERENCE_SPHERE[key]
+    budget.charge()
+    result = None
+    if G.is_connected():
+        # dimension is fixed by the first point's rim, then verified globally
+        first_dim = _reference_sphere(G.rim(G.points[0]), budget)
+        if first_dim is not None and all(
+            _reference_sphere(G.rim(v), budget) == first_dim for v in G.points[1:]
+        ):
+            representatives = [orbit[0] for orbit in point_orbits(G)]
+            if all(
+                is_contractible(G.delete_points([v]), budget)
+                for v in representatives
+            ):
+                result = first_dim + 1
+    _REFERENCE_SPHERE[key] = result
+    return result
+
+
+def reference_disk(
+    G: DigitalSpace, budget: Budget | None = None
+) -> DiskDecomposition | None:
+    """(n, boundary, interior) if G is a digital n-disk, else None.
+
+    Candidate interior points are those whose rim is a sphere; the final
+    authority is the cone test: attaching a fresh apex adjacent to
+    exactly the candidate boundary must produce an n-sphere, which is
+    literally the definition of a disk read backwards.
+    """
+    budget = ensure_budget(budget)
+    if len(G) == 1:
+        return DiskDecomposition(0, (), (G.points[0],))
+    if len(G) == 0:
+        return None
+    if not is_contractible(G, budget):
+        return None
+    boundary: list[str] = []
+    interior: list[str] = []
+    rim_dims = set()
+    for v in G.points:
+        dim = _reference_sphere(G.rim(v), budget)
+        if dim is None:
+            boundary.append(v)
+        else:
+            interior.append(v)
+            rim_dims.add(dim)
+    if not interior or not boundary or len(rim_dims) != 1:
+        return None
+    n = rim_dims.pop() + 1
+    boundary_space = G.induced_subspace(boundary)
+    if _reference_sphere(boundary_space, budget) != n - 1:
+        return None
+    apex = G.fresh_id("apex")
+    if _reference_sphere(G.add_point(apex, boundary), budget) != n:
+        return None
+    return DiskDecomposition(n, tuple(boundary), tuple(interior))
+
+
+def reference_closed_manifold(
+    G: DigitalSpace, budget: Budget | None = None
+) -> int | None:
+    """Dimension n if every rim of connected G is an (n-1)-sphere.
+
+    Covers the low-dimensional conventions: S0 is the closed 0-manifold
+    and cycles of length >= 4 are the closed 1-manifolds.
+    """
+    budget = ensure_budget(budget)
+    count = len(G)
+    if count == 2 and G.edge_count == 0:
+        return 0
+    if count == 0 or not G.is_connected():
+        return None
+    dims = set()
+    for v in G.points:
+        dim = _reference_sphere(G.rim(v), budget)
+        if dim is None:
+            return None
+        dims.add(dim)
+        if len(dims) > 1:
+            return None
+    return dims.pop() + 1
+
+
+def reference_manifold_with_boundary(
+    G: DigitalSpace, budget: Budget | None = None
+) -> DiskDecomposition | None:
+    """(n, boundary, interior) for a manifold with spherical boundary.
+
+    Interior rims must be (n-1)-spheres, boundary rims (n-1)-disks, the
+    boundary must be nonempty and induce an (n-1)-sphere.
+    """
+    budget = ensure_budget(budget)
+    if len(G) < 2 or not G.is_connected():
+        return None
+    boundary: list[str] = []
+    interior: list[str] = []
+    dims = set()
+    for v in G.points:
+        rim = G.rim(v)
+        sphere_dim = _reference_sphere(rim, budget)
+        if sphere_dim is not None:
+            interior.append(v)
+            dims.add(sphere_dim + 1)
+            continue
+        disk = reference_disk(rim, budget)
+        if disk is not None:
+            boundary.append(v)
+            dims.add(disk.dimension + 1)
+            continue
+        return None
+    if len(dims) != 1 or not boundary or not interior:
+        return None
+    n = dims.pop()
+    if _reference_sphere(G.induced_subspace(boundary), budget) != n - 1:
+        return None
+    return DiskDecomposition(n, tuple(boundary), tuple(interior))
+
+
+def reference_recognize(
+    G: DigitalSpace, budget: Budget | None = None
+) -> RecognitionResult:
+    """Most specific recognition: sphere, then disk, then the manifolds."""
+    budget = ensure_budget(budget)
+    dim = reference_sphere(G, budget)
+    if dim is not None:
+        return RecognitionResult(SpaceKind.SPHERE, dim)
+    disk = reference_disk(G, budget)
+    if disk is not None:
+        return RecognitionResult(
+            SpaceKind.DISK, disk.dimension, disk.boundary, disk.interior
+        )
+    dim = reference_closed_manifold(G, budget)
+    if dim is not None:
+        return RecognitionResult(SpaceKind.CLOSED_MANIFOLD, dim)
+    bounded = reference_manifold_with_boundary(G, budget)
+    if bounded is not None:
+        return RecognitionResult(
+            SpaceKind.MANIFOLD_WITH_BOUNDARY,
+            bounded.dimension,
+            bounded.boundary,
+            bounded.interior,
+        )
+    return RecognitionResult(SpaceKind.NONE)
 
 
 # -- literal-definition contractibility --------------------------------------------

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import support
-from digitop import cache, minimal_sphere, parse, serialize, torus16
+from digitop import DigitalSpace, cache, minimal_sphere, parse, serialize, torus16
 from digitop.cli import main
 
 
@@ -116,6 +116,19 @@ def test_recognize_expectations(capsys, octa_file, triangle_file, tmp_path):
         capsys, "recognize", wheel_file, "--expect", "manifold-with-boundary"
     )
     assert code == 0
+
+    # the one-point space is a 0-disk but not a manifold with boundary
+    point_file = write_space(tmp_path, "point.sf", DigitalSpace(["a"]))
+    code, out, _ = run(capsys, "recognize", point_file, "--expect", "disk")
+    assert code == 0 and out == "DISK\ndimension 0\nboundary\ninterior a\n"
+    code, _, _ = run(
+        capsys, "recognize", point_file, "--expect", "manifold-with-boundary"
+    )
+    assert code == 1
+    # S0 is a sphere, and so a closed 0-manifold
+    s0_file = write_space(tmp_path, "s0.sf", minimal_sphere(0))
+    code, out, _ = run(capsys, "recognize", s0_file, "--expect", "manifold")
+    assert code == 0 and out == "SPHERE\ndimension 0\n"
 
 
 def test_euler_output(capsys, octa_file):

@@ -310,3 +310,55 @@ def test_homotopy_distinguish_contractible_spaces():
         homotopy_distinguish(support.path(3), support.complete(4))
         is DistinguishVerdict.NOT_DISTINGUISHED
     )
+
+
+# Step lists of reduce_space and contractible_witness as recorded before
+# both tried each move directly instead of testing simplicity first: the
+# greedy scan order must not change.  dp/de/ae abbreviate delete-point,
+# delete-edge and attach-edge.
+_ABBREVIATIONS = {"delete-point": "dp", "delete-edge": "de", "attach-edge": "ae"}
+_PINNED_REDUCTIONS = {
+    ("torus16", ReductionStrategy.DELETE_ONLY): (
+        "dp:t01 dp:t02 dp:t10 dp:t11 dp:t12 dp:t20 dp:t21 dp:t22"
+        " de:t03,t32 de:t23,t30"
+    ),
+    ("torus16", ReductionStrategy.ATTACH_EDGES): (
+        "ae:t01,t03 ae:t01,t13 ae:t01,t22 ae:t02,t10 ae:t02,t23 ae:t03,t12"
+        " ae:t03,t20 ae:t10,t22 ae:t10,t30 ae:t11,t20 ae:t11,t32 ae:t11,t33"
+        " ae:t12,t21 ae:t13,t32 ae:t21,t30"
+        " dp:t01 dp:t02 dp:t03 dp:t10 dp:t11 dp:t12 dp:t20 dp:t21 dp:t22"
+        " de:t23,t30 ae:t13,t31 ae:t23,t30 de:t13,t31 de:t23,t30"
+    ),
+    ("projective_plane11", ReductionStrategy.DELETE_ONLY): (
+        "dp:h dp:d dp:c dp:e dp:b dp:g"
+    ),
+    ("projective_plane11", ReductionStrategy.ATTACH_EDGES): (
+        "dp:h dp:d dp:c dp:e dp:b dp:g"
+    ),
+}
+
+
+def _compact(steps) -> str:
+    return " ".join(
+        f"{_ABBREVIATIONS[step.kind]}:{','.join(step.points)}" for step in steps
+    )
+
+
+@pytest.mark.parametrize("name, strategy", sorted(_PINNED_REDUCTIONS, key=str))
+def test_reduce_space_steps_are_pinned(name, strategy):
+    M = {"torus16": torus16, "projective_plane11": projective_plane11}[name]()
+    punctured = M.delete_points([M.points[0]])
+    result = reduce_space(punctured, strategy)
+    assert _compact(result.trace.steps) == _PINNED_REDUCTIONS[name, strategy]
+    assert not result.exhausted
+    assert replay(result.trace, punctured) == result.space
+
+
+def test_contractible_witness_steps_are_pinned():
+    trace = contractible_witness(minimal_disk(2))
+    assert [(step.points, step.rim) for step in trace.steps] == [
+        (("p1a",), ("p0b", "p2a", "p2b")),
+        (("p0b",), ("p1b", "p2a", "p2b")),
+        (("p2a",), ("p1b",)),
+        (("p1b",), ("p2b",)),
+    ]

@@ -16,6 +16,7 @@ from digitop import (
     minimal_disk,
     minimal_sphere,
     projective_plane11,
+    r_transform,
     recognize,
     recognize_closed_manifold,
     recognize_disk,
@@ -172,3 +173,42 @@ def test_disconnected_spaces_are_rejected():
     )
     assert recognize_sphere(two_cycles) is None
     assert recognize_closed_manifold(two_cycles) is None
+
+
+def _assert_matches_reference(G):
+    assert recognize(G) == support.reference_recognize(G), G.points
+    assert recognize_sphere(G) == support.reference_sphere(G)
+    assert recognize_disk(G) == support.reference_disk(G)
+    assert recognize_closed_manifold(G) == support.reference_closed_manifold(G)
+    assert recognize_manifold_with_boundary(
+        G
+    ) == support.reference_manifold_with_boundary(G)
+
+
+def test_recognizers_match_reference_on_corpus():
+    for rows in support.all_connected_rows(7):
+        _assert_matches_reference(support.space_from_rows(rows))
+
+
+def _grown_pieces(rng):
+    """Grown S2, S3, T and P, with punctures, rims, edge balls and rings."""
+    for M in (minimal_sphere(2), minimal_sphere(3), torus16(), projective_plane11()):
+        for _ in range(2):
+            M = r_transform(M, *rng.choice(M.edges))
+        yield M
+        for v in rng.sample(M.points, 4):
+            yield M.delete_points([v])
+            yield M.rim(v)
+        for v, u in rng.sample(M.edges, 4):
+            ball = set(M.neighbors(v)) | set(M.neighbors(u))
+            yield M.induced_subspace(ball)
+            yield M.induced_subspace(ball - {v, u})
+
+
+def test_recognizers_match_reference_on_grown_pieces():
+    kinds = set()
+    for seed in range(3):
+        for G in _grown_pieces(random.Random(seed)):
+            _assert_matches_reference(G)
+            kinds.add(recognize(G).kind)
+    assert kinds == set(SpaceKind)

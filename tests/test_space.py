@@ -141,7 +141,6 @@ def test_clique_vector_examples():
     assert support.cycle(4).clique_vector().counts == (4, 4)
     octa = minimal_sphere(2)
     assert octa.clique_vector().counts == (6, 12, 8)
-    assert octa.clique_vector(max_size=2).counts == (6, 12)
     assert torus16().clique_vector().counts == (16, 48, 32)
 
 
