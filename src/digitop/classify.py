@@ -23,7 +23,7 @@ from .canon import CanonicalForm, canonical_encoding_rows, canonical_form
 from .homotopy import ReductionStrategy, reduce_space
 from .recognition import recognize_closed_manifold, require_closed_manifold
 from .space import DigitalSpace
-from .transform import compress, find_edge_disks
+from .transform import _disks, compress
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,7 @@ def catalog(n: int, max_points: int, budget: Budget | None = None) -> Catalog:
             )
             if recognize_closed_manifold(space, budget) != n:
                 continue
-            if find_edge_disks(space, budget):
+            if next(_disks(space, n, 2, budget), None) is not None:
                 continue
             entries.append(
                 CatalogEntry(

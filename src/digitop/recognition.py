@@ -62,25 +62,31 @@ def recognize_sphere(G: DigitalSpace, budget: Budget | None = None) -> int | Non
 
 
 def _sphere(G: DigitalSpace, budget: Budget) -> int | None:
+    return _sphere_walk(G, budget)[0]
+
+
+def _sphere_walk(G: DigitalSpace, budget: Budget) -> tuple[int | None, object]:
+    """G's sphere dimension, and _closed_dim(G) when this call walked the
+    rims (MISSING when it did not), so recognize walks them only once."""
     count = len(G)
     if count == 2 and G.edge_count == 0:
-        return 0
+        return 0, 0
     if count < 4:
         # no sphere besides S0 has fewer than four points
-        return None
+        return None, MISSING
     key = canonical_form(G).encoding
     hit = _SPHERE.get(key)
     if hit is not MISSING:
-        return hit
+        return hit, MISSING
     budget.charge()
-    n = _closed_dim(G, budget)
+    closed = n = _closed_dim(G, budget)
     if n is not None and not all(
         is_contractible(G.delete_points([orbit[0]]), budget)
         for orbit in point_orbits(G)
     ):
         n = None
     _SPHERE.put(key, n)
-    return n
+    return n, closed
 
 
 def _closed_dim(G: DigitalSpace, budget: Budget) -> int | None:
@@ -175,12 +181,13 @@ def recognize(G: DigitalSpace, budget: Budget | None = None) -> RecognitionResul
     closed manifolds first changes no verdict and spares them a disk pass.
     """
     budget = ensure_budget(budget)
-    dim = recognize_sphere(G, budget)
+    dim, closed = _sphere_walk(G, budget)
     if dim is not None:
         return RecognitionResult(SpaceKind.SPHERE, dim)
-    dim = recognize_closed_manifold(G, budget)
-    if dim is not None:
-        return RecognitionResult(SpaceKind.CLOSED_MANIFOLD, dim)
+    if closed is MISSING:
+        closed = recognize_closed_manifold(G, budget)
+    if closed is not None:
+        return RecognitionResult(SpaceKind.CLOSED_MANIFOLD, closed)
     split = recognize_disk(G, budget)
     if split is not None:
         return RecognitionResult(SpaceKind.DISK, *split)

@@ -352,20 +352,20 @@ class DigitalSpace:
 
     # -- clique complex ----------------------------------------------------------
 
-    def clique_vector(self, max_cliques: int = DEFAULT_CLIQUE_LIMIT) -> CliqueVector:
+    def clique_vector(self) -> CliqueVector:
         """Count cliques of every size.
 
         Enumerates cliques as increasing index sequences, so each clique
-        is visited exactly once.  Exceeding max_cliques raises via the
-        budget machinery; the cap exists because clique counts can grow
-        exponentially in pathological inputs.
+        is visited exactly once.  Exceeding DEFAULT_CLIQUE_LIMIT cliques
+        raises via the budget machinery; the cap exists because clique
+        counts can grow exponentially in pathological inputs.
         """
         if "cliques" in self._cache:
             return self._cache["cliques"]
         rows = self._rows
         n = len(self._ids)
         counts: list[int] = []
-        budget = Budget(max_cliques)
+        budget = Budget(DEFAULT_CLIQUE_LIMIT)
 
         def bump(size: int) -> None:
             while len(counts) < size:

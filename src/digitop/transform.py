@@ -6,10 +6,11 @@ both the manifold structure and the Euler characteristic.  Disk
 contraction is the size-reducing inverse idea: the interior of an
 embedded n-disk is replaced by a single point adjacent to the disk
 boundary.  Compressing a manifold means contracting disks until no
-contraction applies; the library contracts edge-disks (disks of the
-form ball(v) + ball(u) with interior exactly {v, u}) in deterministic
-edge order, and is_compressed offers the wider bounded check over
-arbitrary embedded disks.
+contraction applies.  One search finds the disks: it grows connected
+interiors I breadth-first from the edges and tries I plus its
+neighbours as the disk.  compress contracts edge-disks (interior exactly
+{v, u}) in deterministic edge order, and is_compressed looks for disks
+whose interior has at most a given number of points.
 """
 
 from __future__ import annotations
@@ -111,29 +112,42 @@ def find_edge_disks(
     """
     budget = ensure_budget(budget)
     dim = require_closed_manifold(M, budget)
-    return [(v, u) for v, u, _ in _edge_disks(M, dim, budget)]
+    return [interior for interior, _ in _disks(M, dim, 2, budget)]
 
 
-def _edge_disks(
-    M: DigitalSpace, dim: int, budget: Budget
-) -> Iterator[tuple[str, str, tuple[str, ...]]]:
-    """(v, u, boundary) for each edge-disk of the dim-manifold M, in edge order.
+def _disks(
+    M: DigitalSpace, dim: int, bound: int, budget: Budget
+) -> Iterator[tuple[tuple[str, ...], tuple[str, ...]]]:
+    """(interior, boundary) for each embedded dim-disk of the dim-manifold M
+    whose interior is a connected set of 2..bound points, both sorted.
 
-    A cheap necessary filter runs first: the points of O(v) and O(u)
-    other than v and u must induce a (dim-1)-sphere, the boundary the
-    disk would have.
+    Interiors grow breadth-first from the edges, in edge order, one
+    neighbour at a time; each candidate interior I costs one budget node.
+    The candidate disk is I plus its neighbours N(I).  A cheap necessary
+    filter runs first: N(I) must induce a (dim-1)-sphere, the boundary
+    the disk would have.  The disk is accepted when it is a dim-disk
+    whose interior is exactly I.
     """
-    for v, u in M.edges:
-        ring = tuple(sorted((set(M.neighbors(v)) | set(M.neighbors(u))) - {v, u}))
-        if recognize_sphere(M.induced_subspace(ring), budget) != dim - 1:
-            continue
-        disk = recognize_disk(M.induced_subspace(ring + (v, u)), budget)
-        if (
-            disk is not None
-            and disk.dimension == dim
-            and set(disk.interior) == {v, u}
-        ):
-            yield v, u, ring
+    queue = list(M.edges)
+    seen = set(queue)
+    for interior in queue:
+        budget.charge()
+        inside = set(interior)
+        ring = tuple(sorted({q for p in interior for q in M.neighbors(p)} - inside))
+        if recognize_sphere(M.induced_subspace(ring), budget) == dim - 1:
+            disk = recognize_disk(M.induced_subspace(ring + interior), budget)
+            if (
+                disk is not None
+                and disk.dimension == dim
+                and set(disk.interior) == inside
+            ):
+                yield interior, ring
+        if len(interior) < bound:
+            for p in ring:
+                grown = tuple(sorted(interior + (p,)))
+                if grown not in seen:
+                    seen.add(grown)
+                    queue.append(grown)
 
 
 def compress(M: DigitalSpace, budget: Budget | None = None) -> CompressionResult:
@@ -146,72 +160,39 @@ def compress(M: DigitalSpace, budget: Budget | None = None) -> CompressionResult
     dim = require_closed_manifold(M, budget)
     current = M
     steps: list[ContractionStep] = []
-    while (disk := next(_edge_disks(current, dim, budget), None)) is not None:
-        v, u, boundary = disk
+    while (disk := next(_disks(current, dim, 2, budget), None)) is not None:
+        interior, boundary = disk
         fresh = current.fresh_id()
-        current = current.delete_points((v, u)).add_point(fresh, boundary)
+        current = current.delete_points(interior).add_point(fresh, boundary)
         if recognize_closed_manifold(current, budget) != dim:
             raise NotAManifoldError(
-                f"contracting {v!r} -- {u!r} left no closed {dim}-manifold"
+                f"contracting {interior} left no closed {dim}-manifold"
             )
-        steps.append(ContractionStep((v, u), boundary, fresh))
+        steps.append(ContractionStep(interior, boundary, fresh))
     return CompressionResult(current, tuple(steps))
 
 
 def is_compressed(
     M: DigitalSpace, interior_bound: int = 2, budget: Budget | None = None
 ) -> CompressionCheck:
-    """Search for a contractible embedded disk with interior size 2..bound.
+    """Search for an embedded disk whose interior has 2..bound points.
 
-    Grows connected point subsets from every edge and tests each as a
-    disk.  NOT_COMPRESSED comes with a witness subset.  With the bound
-    at 2 a clean result is reported as EDGE_COMPRESSED, since only the
-    smallest disks were ruled out; larger bounds report
+    The bound is the interior size.  Interiors are connected point sets
+    grown from the edges, and the disk tried for an interior I is I plus
+    its neighbours N(I).  NOT_COMPRESSED comes with that disk as the
+    witness.  With the bound at 2 a clean result is EDGE_COMPRESSED,
+    meaning M has no edge-disk; larger bounds report
     COMPRESSED_UP_TO_BOUND.
     """
     budget = ensure_budget(budget)
     dim = require_closed_manifold(M, budget)
     if interior_bound < 2:
         raise ValueError("interior_bound must be at least 2")
-    # a disk with k interior points has at least k + 2(dim-1) + 2 points,
-    # but boundary size bounds only help as a skip condition below
-    max_points = len(M)
-    seen: set[frozenset[str]] = set()
-    queue: list[frozenset[str]] = []
-    for v, u in M.edges:
-        subset = frozenset((v, u))
-        if subset not in seen:
-            seen.add(subset)
-            queue.append(subset)
-    index = 0
-    while index < len(queue):
-        subset = queue[index]
-        index += 1
-        budget.charge()
-        if len(subset) >= 4:
-            disk = recognize_disk(M.induced_subspace(subset), budget)
-            if (
-                disk is not None
-                and disk.dimension == dim
-                and 2 <= len(disk.interior) <= interior_bound
-                and all(
-                    all(nbr in subset for nbr in M.neighbors(y))
-                    for y in disk.interior
-                )
-            ):
-                return CompressionCheck(
-                    CompressionVerdict.NOT_COMPRESSED, tuple(sorted(subset))
-                )
-        if len(subset) >= max_points:
-            continue
-        frontier = set()
-        for p in subset:
-            frontier.update(M.neighbors(p))
-        for p in sorted(frontier - subset):
-            grown = subset | {p}
-            if grown not in seen:
-                seen.add(grown)
-                queue.append(grown)
+    disk = next(_disks(M, dim, interior_bound, budget), None)
+    if disk is not None:
+        return CompressionCheck(
+            CompressionVerdict.NOT_COMPRESSED, tuple(sorted(disk[0] + disk[1]))
+        )
     verdict = (
         CompressionVerdict.EDGE_COMPRESSED
         if interior_bound == 2

@@ -12,7 +12,14 @@ import itertools
 from digitop import DigitalSpace, is_contractible
 from digitop.budget import Budget, ensure_budget
 from digitop.canon import canonical_encoding_rows, canonical_form, point_orbits
-from digitop.recognition import DiskDecomposition, RecognitionResult, SpaceKind
+from digitop.recognition import (
+    DiskDecomposition,
+    RecognitionResult,
+    SpaceKind,
+    recognize_disk,
+    require_closed_manifold,
+)
+from digitop.transform import CompressionCheck, CompressionVerdict
 
 # -- builders ----------------------------------------------------------------------
 
@@ -321,6 +328,76 @@ def reference_recognize(
             bounded.interior,
         )
     return RecognitionResult(SpaceKind.NONE)
+
+
+# -- disk search over connected subsets -------------------------------------------
+#
+# The library's is_compressed before one disk search served compress and
+# the compressedness checks: a breadth-first search over every connected
+# point subset, each tested as a disk.  Kept as the reference the
+# interior search must agree with.
+
+
+def reference_is_compressed(
+    M: DigitalSpace, interior_bound: int = 2, budget: Budget | None = None
+) -> CompressionCheck:
+    """Search for a contractible embedded disk with interior size 2..bound.
+
+    Grows connected point subsets from every edge and tests each as a
+    disk.  NOT_COMPRESSED comes with a witness subset.  With the bound
+    at 2 a clean result is reported as EDGE_COMPRESSED, since only the
+    smallest disks were ruled out; larger bounds report
+    COMPRESSED_UP_TO_BOUND.
+    """
+    budget = ensure_budget(budget)
+    dim = require_closed_manifold(M, budget)
+    if interior_bound < 2:
+        raise ValueError("interior_bound must be at least 2")
+    # a disk with k interior points has at least k + 2(dim-1) + 2 points,
+    # but boundary size bounds only help as a skip condition below
+    max_points = len(M)
+    seen: set[frozenset[str]] = set()
+    queue: list[frozenset[str]] = []
+    for v, u in M.edges:
+        subset = frozenset((v, u))
+        if subset not in seen:
+            seen.add(subset)
+            queue.append(subset)
+    index = 0
+    while index < len(queue):
+        subset = queue[index]
+        index += 1
+        budget.charge()
+        if len(subset) >= 4:
+            disk = recognize_disk(M.induced_subspace(subset), budget)
+            if (
+                disk is not None
+                and disk.dimension == dim
+                and 2 <= len(disk.interior) <= interior_bound
+                and all(
+                    all(nbr in subset for nbr in M.neighbors(y))
+                    for y in disk.interior
+                )
+            ):
+                return CompressionCheck(
+                    CompressionVerdict.NOT_COMPRESSED, tuple(sorted(subset))
+                )
+        if len(subset) >= max_points:
+            continue
+        frontier = set()
+        for p in subset:
+            frontier.update(M.neighbors(p))
+        for p in sorted(frontier - subset):
+            grown = subset | {p}
+            if grown not in seen:
+                seen.add(grown)
+                queue.append(grown)
+    verdict = (
+        CompressionVerdict.EDGE_COMPRESSED
+        if interior_bound == 2
+        else CompressionVerdict.COMPRESSED_UP_TO_BOUND
+    )
+    return CompressionCheck(verdict)
 
 
 # -- literal-definition contractibility --------------------------------------------

@@ -25,6 +25,8 @@ from digitop import (
     require_closed_manifold,
     torus16,
 )
+from digitop import cache, recognition
+from digitop.canon import point_orbits
 
 
 def test_minimal_spheres_recognized():
@@ -99,6 +101,27 @@ def test_punctured_sphere_is_a_disk():
         D = S.delete_points([S.points[0]])
         d = recognize_disk(D)
         assert d is not None and d.dimension == n
+
+
+def test_sphere_checks_a_puncture_in_every_orbit(monkeypatch):
+    """A sphere whose puncture fails at a later orbit only is rejected."""
+    G = support.bipyramid(5)
+    orbits = point_orbits(G)
+    assert len(orbits) >= 2
+    later = orbits[-1][0]
+    real = recognition.is_contractible
+
+    def is_contractible(H, budget=None):
+        if set(H.points) == set(G.points) - {later}:
+            return False
+        return real(H, budget)
+
+    monkeypatch.setattr(recognition, "is_contractible", is_contractible)
+    cache.clear_all()
+    try:
+        assert recognize_sphere(G) is None
+    finally:
+        cache.clear_all()
 
 
 def test_closed_manifold_examples():

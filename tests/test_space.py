@@ -7,7 +7,7 @@ import random
 import pytest
 
 import support
-from digitop import BudgetExceeded, DigitalSpace, join, minimal_sphere, torus16
+from digitop import BudgetExceeded, DigitalSpace, join, minimal_sphere, space, torus16
 
 
 def test_points_are_sorted_and_validated():
@@ -152,10 +152,11 @@ def test_clique_vector_matches_brute_force():
         assert G.euler_characteristic() == support.naive_euler(G)
 
 
-def test_clique_budget_cap():
+def test_clique_budget_cap(monkeypatch):
+    monkeypatch.setattr(space, "DEFAULT_CLIQUE_LIMIT", 1000)
     big = support.complete(12)
     with pytest.raises(BudgetExceeded):
-        big.clique_vector(max_cliques=1000)
+        big.clique_vector()
 
 
 def test_euler_examples():

@@ -8,6 +8,7 @@ import pytest
 
 import support
 from digitop import (
+    Budget,
     CompressionVerdict,
     are_isomorphic,
     compress,
@@ -22,6 +23,7 @@ from digitop import (
     recognize_sphere,
     torus16,
 )
+from digitop import cache, transform
 
 
 def test_r_transform_cycle_grows_it():
@@ -164,6 +166,62 @@ def test_is_compressed_verdicts():
     assert check.witness is not None
     # the witness names an embedded disk with a small interior
     assert len(check.witness) >= 4
+
+
+def _grown(base, seed, moves):
+    rng = random.Random(seed)
+    for _ in range(moves):
+        base = r_transform(base, *rng.choice(base.edges))
+    return base
+
+
+def test_is_compressed_matches_reference_subset_search():
+    """Same verdicts as the search over all connected subsets, and every
+    witness contracts to a closed manifold of the same dimension and chi."""
+    spaces = [
+        support.cycle(4),
+        support.cycle(5),
+        minimal_sphere(2),
+        minimal_sphere(3),
+        _grown(minimal_sphere(2), 1, 3),
+        _grown(minimal_sphere(3), 1, 2),
+        projective_plane11(),
+        _grown(projective_plane11(), 1, 1),
+    ]
+    for M in spaces:
+        dim = recognize_closed_manifold(M)
+        chi = support.naive_euler(M)
+        for bound in (2, 3, 4):
+            check = is_compressed(M, bound)
+            expected = support.reference_is_compressed(M, bound)
+            assert check.verdict == expected.verdict, (M.points, bound)
+            if check.verdict == CompressionVerdict.NOT_COMPRESSED:
+                contracted = contract_disk(M, check.witness)
+                assert recognize_closed_manifold(contracted) == dim
+                assert support.naive_euler(contracted) == chi
+
+
+def test_disk_search_finds_three_point_interiors():
+    grown = _grown(minimal_sphere(2), 1, 3)
+    disks = [
+        disk
+        for disk in transform._disks(grown, 2, 3, Budget(100_000))
+        if len(disk[0]) == 3
+    ]
+    assert disks
+    interior, boundary = disks[0]
+    contracted = contract_disk(grown, interior + boundary, fresh="q")
+    assert len(contracted) == len(grown) - 2
+    assert set(contracted.neighbors("q")) == set(boundary)
+    assert recognize_closed_manifold(contracted) == 2
+
+
+def test_is_compressed_grows_only_bounded_interiors():
+    """An edge-compressed torus16 is certified within 100 nodes; a search
+    over every connected subset spends tens of thousands."""
+    cache.clear_all()
+    check = is_compressed(torus16(), budget=Budget(100))
+    assert check.verdict == CompressionVerdict.EDGE_COMPRESSED
 
 
 def test_manifold_preservation_over_random_moves():
