@@ -1,13 +1,26 @@
-"""Bounded memo tables keyed by canonical encodings.
+"""Bounded memo tables keyed by isomorphism class.
 
 Contractibility and sphere recognition both recurse through rims and
 punctured spaces, and the same small spaces appear over and over, so
-results are memoized under the canonical encoding of the space.  Tables
-are capped; on overflow the whole table is dropped, which keeps the
-code free of eviction bookkeeping while bounding memory.
+results are memoized per isomorphism class of the space.
+
+A canonical form is the exact key, but it is also the expensive part of
+a lookup, and most spaces a search meets (every level of a deletion
+chain, say) are never met again.  So entries are bucketed by a cheap
+invariant, the sorted degree sequence (which also fixes the point
+count).  A lookup whose bucket is empty is a miss with no canonization.
+An entry is stored as its space's rows, under its encoding when the
+space was already canonized, and is canonized lazily the first time a
+lookup lands in its bucket.  Equal encodings mean isomorphic spaces, so
+hits and misses are exactly those of a table keyed by encoding.
+
+Tables are capped; on overflow the whole table is dropped, which keeps
+the code free of eviction bookkeeping while bounding memory.
 """
 
 from __future__ import annotations
+
+from .canon import canonical_encoding_rows, canonical_form
 
 MISSING = object()
 
@@ -17,24 +30,49 @@ CAPACITY = 200_000
 _REGISTRY: list["FormCache"] = []
 
 
+def _invariant(space) -> tuple[int, ...]:
+    invariant = space._cache.get("degrees")
+    if invariant is None:
+        invariant = space._cache["degrees"] = tuple(
+            sorted(map(int.bit_count, space._rows))
+        )
+    return invariant
+
+
 class FormCache:
     def __init__(self):
-        self._data: dict = {}
+        # invariant -> (rows of entries not yet canonized, {encoding: value})
+        self._buckets: dict = {}
+        self._size = 0
         _REGISTRY.append(self)
 
-    def get(self, key):
-        return self._data.get(key, MISSING)
+    def get(self, space):
+        bucket = self._buckets.get(_invariant(space))
+        if bucket is None:
+            return MISSING
+        pending, known = bucket
+        for rows, value in pending:
+            known[canonical_encoding_rows(rows)] = value
+        pending.clear()
+        return known.get(canonical_form(space).encoding, MISSING)
 
-    def put(self, key, value) -> None:
-        if len(self._data) >= CAPACITY:
-            self._data.clear()
-        self._data[key] = value
+    def put(self, space, value) -> None:
+        if self._size >= CAPACITY:
+            self.clear()
+        pending, known = self._buckets.setdefault(_invariant(space), ([], {}))
+        form = space._cache.get("canonical_form")
+        if form is None:
+            pending.append((space._rows, value))
+        else:
+            known[form.encoding] = value
+        self._size += 1
 
     def clear(self) -> None:
-        self._data.clear()
+        self._buckets.clear()
+        self._size = 0
 
     def __len__(self) -> int:
-        return len(self._data)
+        return self._size
 
 
 def clear_all() -> None:

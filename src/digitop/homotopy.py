@@ -8,8 +8,8 @@ contractible when simple-point deletions alone can shrink it to a
 single point.
 
 is_contractible decides that by backtracking over simple-point
-deletions, memoized on canonical forms, with sound prunes evaluated in
-a fixed order:
+deletions, memoized per isomorphism class (cache.py), with sound prunes
+evaluated in a fixed order:
 
   (a) one point: contractible
   (b) disconnected: not contractible
@@ -17,6 +17,18 @@ a fixed order:
   (d) a point adjacent to all others: contractible (the space is a cone)
   (e) fewer than two simple points: not contractible
   (f) otherwise recurse on G - v for each simple point v
+
+Prunes (b) and (c) run only at a root: a top-level call or a rim.  Down
+a deletion chain they can never fire.  A simple point's rim is
+contractible, so it is nonempty and connected, and every path through v
+can detour through it: G - v stays connected.  A contractible rim has
+chi = 1, and chi(G - v) = chi(G) - 1 + chi(O(v)), so chi stays 1.
+
+Deleting v changes only the rims of v's neighbours, so a level inherits
+its parent's simple points and re-checks those rims alone, in point
+order.  Every other rim was decided at an ancestor, and asking again
+would only meet a memo hit or a prune, charging no node; only a table
+dropped on overflow in between would have charged again.
 """
 
 from __future__ import annotations
@@ -51,53 +63,77 @@ def is_contractible(G: DigitalSpace, budget: Budget | None = None) -> bool:
 def _contractible(G: DigitalSpace, budget: Budget) -> bool:
     """Run the search with an explicit stack of _contractible_steps.
 
-    Each step yields the subspace it needs a verdict on and is resumed
-    with that verdict, so deep deletion chains use no Python recursion.
+    Each step yields the subspace it needs a verdict on, with what that
+    subspace inherits, and is resumed with the verdict, so deep deletion
+    chains use no Python recursion.
     """
-    stack = [_contractible_steps(G, budget)]
+    stack = [_contractible_steps(G, None, budget)]
     verdict = None
     while stack:
         try:
-            sub = stack[-1].send(verdict)
+            sub, inherited = stack[-1].send(verdict)
         except StopIteration as done:
             stack.pop()
             verdict = done.value
         else:
-            stack.append(_contractible_steps(sub, budget))
+            stack.append(_contractible_steps(sub, inherited, budget))
             verdict = None
     return verdict
 
 
-def _contractible_steps(G: DigitalSpace, budget: Budget):
+def _contractible_steps(G: DigitalSpace, inherited, budget: Budget):
+    """One search level.  inherited is None at a root (a top-level call
+    or a rim); on a deletion chain it is (simple, stale): bitmasks over
+    G's points of those known simple and those whose rims changed."""
     n = len(G)
-    if n == 0:
+    if n <= 1:
+        return n == 1
+    if inherited is None and not G.is_connected():
         return False
-    if n == 1:
-        return True
-    if not G.is_connected():
-        return False
-    key = canonical_form(G).encoding
-    hit = _CONTRACTIBLE.get(key)
+    hit = _CONTRACTIBLE.get(G)
     if hit is not MISSING:
         return hit
     budget.charge()
-    if G.euler_characteristic() != 1:
+    if inherited is None and G.euler_characteristic() != 1:
         result = False
     elif G.dominating_point() is not None:
         result = True
     else:
-        simple = []
-        for v in G.points:
-            if (yield G.rim(v)):
-                simple.append(v)
+        simple, stale = inherited or (0, (1 << n) - 1)
+        for i in _bits(stale):
+            if (yield G.rim(G.points[i]), None):
+                simple |= 1 << i
         result = False
-        if len(simple) >= 2:
-            for v in simple:
-                if (yield G.delete_points([v])):
+        if simple.bit_count() >= 2:
+            for i in _bits(simple):
+                row = G._rows[i]
+                child = (_drop(simple & ~row, i), _drop(row, i))
+                if (yield _without(G, i), child):
                     result = True
                     break
-    _CONTRACTIBLE.put(key, result)
+    _CONTRACTIBLE.put(G, result)
     return result
+
+
+def _bits(mask: int):
+    """Indices of the set bits of mask, lowest first (point order)."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _drop(mask: int, i: int) -> int:
+    """mask over a space's points, re-indexed for the space without point i."""
+    return mask & ((1 << i) - 1) | mask >> (i + 1) << i
+
+
+def _without(G: DigitalSpace, i: int) -> DigitalSpace:
+    """G.delete_points([G.points[i]]), by shifting rows instead of
+    rebuilding them bit by bit."""
+    rows = [_drop(row, i) for row in G._rows]
+    del rows[i]
+    return DigitalSpace._from_rows(G.points[:i] + G.points[i + 1 :], rows)
 
 
 def is_simple_point(G: DigitalSpace, v: str, budget: Budget | None = None) -> bool:
@@ -334,6 +370,19 @@ def reduce_space(
     return ReduceResult(current, trace, exhausted)
 
 
+def _first_simple_point(G: DigitalSpace, budget: Budget, not_simple: set[str]):
+    """delete_simple_point on the first simple point of G, else None.
+    Points in not_simple are skipped, and points found not simple join it."""
+    for v in G.points:
+        if v in not_simple:
+            continue
+        try:
+            return delete_simple_point(G, v, budget)
+        except NotSimpleError:
+            not_simple.add(v)
+    return None
+
+
 def _first_move(G: DigitalSpace, move, candidates, budget: Budget):
     """(space, step) of the first candidate move that is simple, else None."""
     for args in candidates:
@@ -346,16 +395,24 @@ def _first_move(G: DigitalSpace, move, candidates, budget: Budget):
 
 def _delete_moves(G: DigitalSpace, budget: Budget):
     """Delete simple points, then simple edges, until neither applies;
-    yields each (space, step) and returns the final space."""
+    yields each (space, step) and returns the final space.
+
+    Simplicity depends on the rim alone, so a point found not simple is
+    not tried again until a deletion changes its rim: deleting a point
+    changes its neighbours' rims, and deleting an edge those of its ends
+    and of their common neighbours.
+    """
+    not_simple: set[str] = set()
     while True:
         progressed = False
-        while len(G) > 1 and (
-            done := _first_move(G, delete_simple_point, zip(G.points), budget)
-        ):
+        while len(G) > 1 and (done := _first_simple_point(G, budget, not_simple)):
+            not_simple.difference_update(G.neighbors(*done[1].points))
             G = done[0]
             yield done
             progressed = True
         while done := _first_move(G, delete_simple_edge, G.edges, budget):
+            v, u = done[1].points
+            not_simple -= {v, u} | set(G.neighbors(v)) & set(G.neighbors(u))
             G = done[0]
             yield done
             progressed = True

@@ -10,7 +10,9 @@ rims are not spheres makes an n-sphere (the cone test).  A manifold
 with (spherical) boundary splits (_split) into interior points with
 sphere rims and boundary points with disk rims.
 
-Sphere recognition is memoized by canonical form.  Punctured-space
+Sphere recognition is memoized per isomorphism class (cache.py), with
+the closed-manifold dimension stored next to the sphere dimension, so a
+repeated recognize of a closed manifold walks no rims.  Punctured-space
 checks only need one representative per automorphism orbit, which is
 what makes the highly symmetric minimal spheres cheap to certify.
 """
@@ -23,7 +25,7 @@ from typing import NamedTuple
 
 from .budget import Budget, ensure_budget
 from .cache import MISSING, FormCache
-from .canon import canonical_form, point_orbits
+from .canon import point_orbits
 from .homotopy import is_contractible
 from .space import DigitalSpace
 
@@ -65,19 +67,18 @@ def _sphere(G: DigitalSpace, budget: Budget) -> int | None:
     return _sphere_walk(G, budget)[0]
 
 
-def _sphere_walk(G: DigitalSpace, budget: Budget) -> tuple[int | None, object]:
-    """G's sphere dimension, and _closed_dim(G) when this call walked the
-    rims (MISSING when it did not), so recognize walks them only once."""
+def _sphere_walk(G: DigitalSpace, budget: Budget) -> tuple[int | None, int | None]:
+    """G's sphere dimension and _closed_dim(G), memoized together, so a
+    closed manifold's rims are walked once, and never on a memo hit."""
     count = len(G)
     if count == 2 and G.edge_count == 0:
         return 0, 0
     if count < 4:
-        # no sphere besides S0 has fewer than four points
-        return None, MISSING
-    key = canonical_form(G).encoding
-    hit = _SPHERE.get(key)
+        # no sphere besides S0, and no closed manifold, has fewer than four points
+        return None, None
+    hit = _SPHERE.get(G)
     if hit is not MISSING:
-        return hit, MISSING
+        return hit
     budget.charge()
     closed = n = _closed_dim(G, budget)
     if n is not None and not all(
@@ -85,7 +86,7 @@ def _sphere_walk(G: DigitalSpace, budget: Budget) -> tuple[int | None, object]:
         for orbit in point_orbits(G)
     ):
         n = None
-    _SPHERE.put(key, n)
+    _SPHERE.put(G, (n, closed))
     return n, closed
 
 
@@ -184,8 +185,6 @@ def recognize(G: DigitalSpace, budget: Budget | None = None) -> RecognitionResul
     dim, closed = _sphere_walk(G, budget)
     if dim is not None:
         return RecognitionResult(SpaceKind.SPHERE, dim)
-    if closed is MISSING:
-        closed = recognize_closed_manifold(G, budget)
     if closed is not None:
         return RecognitionResult(SpaceKind.CLOSED_MANIFOLD, closed)
     split = recognize_disk(G, budget)

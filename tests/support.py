@@ -9,7 +9,13 @@ from __future__ import annotations
 
 import itertools
 
-from digitop import DigitalSpace, is_contractible
+from digitop import (
+    DigitalSpace,
+    NotSimpleError,
+    delete_simple_edge,
+    delete_simple_point,
+    is_contractible,
+)
 from digitop.budget import Budget, ensure_budget
 from digitop.canon import canonical_encoding_rows, canonical_form, point_orbits
 from digitop.recognition import (
@@ -50,6 +56,12 @@ def bipyramid(k: int) -> DigitalSpace:
     """Two apexes over a k-cycle: a 2-sphere whose apex rims are k-cycles."""
     rim = cycle(k)
     return rim.add_point("north", rim.points).add_point("south", rim.points)
+
+
+def random_tree(rng, size: int) -> DigitalSpace:
+    """Each point after the first hangs from a random earlier point."""
+    ids = [f"t{i}" for i in range(size)]
+    return DigitalSpace(ids, [(ids[rng.randrange(i)], ids[i]) for i in range(1, size)])
 
 
 def random_space(rng, size: int, edge_chance: float = 0.5) -> DigitalSpace:
@@ -398,6 +410,99 @@ def reference_is_compressed(
         else CompressionVerdict.COMPRESSED_UP_TO_BOUND
     )
     return CompressionCheck(verdict)
+
+
+# -- contractibility search that rebuilds every level --------------------------------
+
+# The search as it was before simple-point flags were carried down the
+# deletion chain, copied verbatim except for its own memo: a dict keyed
+# by canonical encoding, filled and read exactly where the library's
+# memo was.
+_REFERENCE_CONTRACTIBLE: dict[bytes, bool] = {}
+
+
+def reference_contractible(G: DigitalSpace, budget: Budget | None = None) -> bool:
+    """Decide whether G reduces to a point by simple-point deletions."""
+    return _reference_contractible(G, ensure_budget(budget))
+
+
+def _reference_contractible(G: DigitalSpace, budget: Budget) -> bool:
+    stack = [_reference_contractible_steps(G, budget)]
+    verdict = None
+    while stack:
+        try:
+            sub = stack[-1].send(verdict)
+        except StopIteration as done:
+            stack.pop()
+            verdict = done.value
+        else:
+            stack.append(_reference_contractible_steps(sub, budget))
+            verdict = None
+    return verdict
+
+
+def _reference_contractible_steps(G: DigitalSpace, budget: Budget):
+    n = len(G)
+    if n == 0:
+        return False
+    if n == 1:
+        return True
+    if not G.is_connected():
+        return False
+    key = canonical_form(G).encoding
+    if key in _REFERENCE_CONTRACTIBLE:
+        return _REFERENCE_CONTRACTIBLE[key]
+    budget.charge()
+    if G.euler_characteristic() != 1:
+        result = False
+    elif G.dominating_point() is not None:
+        result = True
+    else:
+        simple = []
+        for v in G.points:
+            if (yield G.rim(v)):
+                simple.append(v)
+        result = False
+        if len(simple) >= 2:
+            for v in simple:
+                if (yield G.delete_points([v])):
+                    result = True
+                    break
+    _REFERENCE_CONTRACTIBLE[key] = result
+    return result
+
+
+# -- reduction that rescans every point after each move ---------------------------
+
+
+def reference_delete_steps(G: DigitalSpace, budget: Budget | None = None) -> list:
+    """Steps of the DELETE_ONLY reduction as it was before points found
+    not simple were skipped: every sweep restarts at the first point."""
+    budget = ensure_budget(budget)
+    steps = []
+    while True:
+        progressed = False
+        while len(G) > 1 and (
+            done := _first_move(G, delete_simple_point, zip(G.points), budget)
+        ):
+            G = done[0]
+            steps.append(done[1])
+            progressed = True
+        while done := _first_move(G, delete_simple_edge, G.edges, budget):
+            G = done[0]
+            steps.append(done[1])
+            progressed = True
+        if not progressed:
+            return steps
+
+
+def _first_move(G: DigitalSpace, move, candidates, budget: Budget):
+    for args in candidates:
+        try:
+            return move(G, *args, budget)
+        except NotSimpleError:
+            pass
+    return None
 
 
 # -- literal-definition contractibility --------------------------------------------

@@ -27,13 +27,14 @@ from digitop import (
     minimal_disk,
     minimal_sphere,
     projective_plane11,
+    r_transform,
     reduce_space,
     replay,
     simple_edges,
     simple_points,
     torus16,
 )
-from digitop import cache
+from digitop import Budget, cache, canon
 
 
 def test_contractible_examples():
@@ -362,3 +363,121 @@ def test_contractible_witness_steps_are_pinned():
         (("p2a",), ("p1b",)),
         (("p1b",), ("p2b",)),
     ]
+
+
+# -- the incremental search against the search that rebuilds every level ----------
+
+
+def _clear_memos():
+    cache.clear_all()
+    support._REFERENCE_CONTRACTIBLE.clear()
+
+
+@pytest.fixture
+def cold_memo():
+    _clear_memos()
+    yield
+    _clear_memos()
+
+
+def _assert_same_search(G):
+    ours, theirs = Budget(), Budget()
+    assert is_contractible(G, ours) == support.reference_contractible(G, theirs)
+    assert ours.spent == theirs.spent, G.points
+
+
+def test_search_matches_reference_on_corpus(cold_memo):
+    corpus = list(support.all_connected_rows(7))
+    for rows in corpus:
+        _clear_memos()
+        _assert_same_search(support.space_from_rows(rows))
+    _clear_memos()
+    # fresh spaces, so stored entries are canonized lazily on collision
+    for rows in corpus:
+        _assert_same_search(support.space_from_rows(rows))
+
+
+def _punctured_grown(seed: int) -> list[DigitalSpace]:
+    """Grown S2, S3, T and P with up to four points deleted, one at a time.
+
+    Growing recognizes, so call this before clearing the memo."""
+    rng = random.Random(seed)
+    out = []
+    for M in (minimal_sphere(2), minimal_sphere(3), torus16(), projective_plane11()):
+        for _ in range(3):
+            M = r_transform(M, *rng.choice(M.edges))
+        for v in rng.sample(M.points, 4):
+            M = M.delete_points([v])
+            out.append(M)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_search_matches_reference_on_punctured_grown_manifolds(cold_memo, seed):
+    spaces = _punctured_grown(seed)
+    _clear_memos()
+    for G in spaces:
+        _assert_same_search(G)
+        _assert_same_search(G.relabeled({v: "x" + v for v in G.points}))
+
+
+def test_reduction_matches_rescanning_reference():
+    """Skipping points whose rims did not change keeps every step list."""
+    spaces = [support.space_from_rows(rows) for rows in support.all_connected_rows(7)]
+    for seed in range(3):
+        spaces += _punctured_grown(seed)
+    for G in spaces:
+        steps = reduce_space(G).trace.steps
+        assert list(steps) == support.reference_delete_steps(G), G.points
+
+
+def test_search_survives_memo_overflow(cold_memo, monkeypatch):
+    """Tables dropped mid-search may change the charges, never a verdict."""
+    spaces = _punctured_grown(0)
+    _clear_memos()
+    monkeypatch.setattr(cache, "CAPACITY", 3)
+    for G in spaces:
+        assert is_contractible(G) == support.reference_contractible(G)
+    for (name, strategy), steps in _PINNED_REDUCTIONS.items():
+        M = {"torus16": torus16, "projective_plane11": projective_plane11}[name]()
+        result = reduce_space(M.delete_points([M.points[0]]), strategy)
+        assert _compact(result.trace.steps) == steps
+
+
+# -- the memo canonizes only when an entry shares the invariant ---------------------
+
+
+def test_deletion_chain_of_a_path_canonizes_nothing(cold_memo, monkeypatch):
+    calls = []
+    original = canon._canonical
+    monkeypatch.setattr(canon, "_canonical", lambda rows: calls.append(1) or original(rows))
+    budget = Budget()
+    assert is_contractible(support.path(300), budget)
+    assert budget.spent == 298
+    assert calls == []
+
+
+def test_relabeled_copy_hits_the_memo(cold_memo):
+    rng = random.Random(5)
+    for G in (support.random_tree(rng, 40), support.wheel(7).delete_points(["c0"])):
+        assert is_contractible(G)
+        budget = Budget()
+        assert is_contractible(support.shuffled(G, rng), budget)
+        assert budget.spent == 0
+
+
+def test_equal_invariants_of_different_spaces_miss(cold_memo):
+    # both have degrees 3, 3, 2, 2, 1, 1; only the triangle one is contractible
+    triangle = DigitalSpace(
+        "abcdef", [("a", "b"), ("b", "c"), ("a", "c"), ("a", "d"), ("b", "e"), ("d", "f")]
+    )
+    square = DigitalSpace(
+        "abcdef", [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d"), ("a", "e"), ("b", "f")]
+    )
+    assert is_contractible(triangle)
+    budget = Budget()
+    assert not is_contractible(square, budget)
+    assert budget.spent == 1
+    budget = Budget()
+    assert is_contractible(support.shuffled(triangle, random.Random(1)), budget)
+    assert budget.spent == 0

@@ -8,8 +8,10 @@ import pytest
 
 import support
 from digitop import (
+    Budget,
     DigitalSpace,
     NotAManifoldError,
+    RecognitionResult,
     SpaceKind,
     are_isomorphic,
     join,
@@ -25,7 +27,7 @@ from digitop import (
     require_closed_manifold,
     torus16,
 )
-from digitop import cache, recognition
+from digitop import cache, canon, recognition
 from digitop.canon import point_orbits
 
 
@@ -235,3 +237,39 @@ def test_recognizers_match_reference_on_grown_pieces():
             _assert_matches_reference(G)
             kinds.add(recognize(G).kind)
     assert kinds == set(SpaceKind)
+
+
+# -- the sphere memo ------------------------------------------------------------------
+
+
+@pytest.fixture
+def cold_memo():
+    cache.clear_all()
+    yield
+    cache.clear_all()
+
+
+def test_warm_recognize_of_a_closed_manifold_walks_no_rims(cold_memo, monkeypatch):
+    """The memo stores the closed dimension, so a repeat canonizes the
+    torus to find its entry and nothing else."""
+    assert recognize(torus16()) == RecognitionResult(SpaceKind.CLOSED_MANIFOLD, 2)
+    calls = []
+    original = canon._canonical
+    monkeypatch.setattr(canon, "_canonical", lambda rows: calls.append(1) or original(rows))
+    budget = Budget()
+    assert recognize(torus16(), budget) == RecognitionResult(SpaceKind.CLOSED_MANIFOLD, 2)
+    assert budget.spent == 0
+    assert len(calls) == 1
+
+
+def test_sphere_memo_tells_equal_invariants_apart(cold_memo):
+    """C8 and two disjoint C4s have the same degrees; only C8 is a sphere."""
+    assert recognize_sphere(support.cycle(8)) == 1
+    left, right = support.cycle(4, "a"), support.cycle(4, "b")
+    two_squares = DigitalSpace(left.points + right.points, left.edges + right.edges)
+    budget = Budget()
+    assert recognize_sphere(two_squares, budget) is None
+    assert budget.spent == 1
+    budget = Budget()
+    assert recognize_sphere(support.shuffled(support.cycle(8), random.Random(2)), budget) == 1
+    assert budget.spent == 0
