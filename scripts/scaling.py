@@ -1,28 +1,34 @@
 #!/usr/bin/env python3
 """Scaling rows for cold-memo contractibility on paths and random trees.
 
-    python3 scripts/scaling.py [--src DIR] [--sizes 50 100 200 400 800]
+    python3 scripts/scaling.py [--src DIR]
 
-For each size n it runs is_contractible on path(n) and on a seeded
+For each size n in SIZES it runs is_contractible on path(n) and on a seeded
 random tree with n points, each with the memo tables cleared first, and
 prints one JSON row per run: input, n, wall_s, nodes (budget charged)
 and canon_calls (canonical searches, counted by wrapping
 digitop.canon._canonical).  The last row holds the log-log slope of
-wall_s over the sizes of at least 100 points, per input.  --src picks
-the digitop sources to import (default: src/ next to this script), so
-two checkouts can be compared with the same script.  Standard library
-only.
+wall_s over the sizes of at least 100 points, per input, computed by
+bench/tracing.py's loglog_slope.  --src picks the digitop sources to
+import (default: src/ next to this script), so two checkouts can be
+compared with the same script.  Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import random
 import sys
 import time
 from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "bench"))
+
+from tracing import loglog_slope  # noqa: E402
+
+SIZES = (50, 100, 200, 400, 800)
 
 
 def path_space(dg, n: int):
@@ -38,20 +44,9 @@ def tree_space(dg, n: int):
     return dg.DigitalSpace(ids, [(ids[rng.randrange(k)], ids[k]) for k in range(1, n)])
 
 
-def loglog_slope(points: list[tuple[float, float]]) -> float:
-    """Least-squares slope of log y against log x."""
-    pts = [(math.log(x), math.log(y)) for x, y in points]
-    mx = sum(x for x, _ in pts) / len(pts)
-    my = sum(y for _, y in pts) / len(pts)
-    sxx = sum((x - mx) ** 2 for x, _ in pts)
-    return sum((x - mx) * (y - my) for x, y in pts) / sxx
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", type=Path,
-                        default=Path(__file__).resolve().parent.parent / "src")
-    parser.add_argument("--sizes", type=int, nargs="+", default=[50, 100, 200, 400, 800])
+    parser.add_argument("--src", type=Path, default=REPO / "src")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
     import digitop as dg
@@ -67,7 +62,7 @@ def main(argv=None) -> int:
     canon._canonical = counted
     slopes: dict[str, list[tuple[float, float]]] = {}
     for name, build in (("path", path_space), ("tree", tree_space)):
-        for n in args.sizes:
+        for n in SIZES:
             space = build(dg, n)
             dg.cache.clear_all()
             calls[0] = 0
@@ -82,7 +77,7 @@ def main(argv=None) -> int:
                 slopes.setdefault(name, []).append((n, wall))
     print(json.dumps({"loglog_slope_n_ge_100": {
         name: round(loglog_slope(points), 3)
-        for name, points in slopes.items() if len(points) >= 2
+        for name, points in slopes.items()
     }}))
     return 0
 

@@ -11,8 +11,12 @@ invariant, the sorted degree sequence (which also fixes the point
 count).  A lookup whose bucket is empty is a miss with no canonization.
 An entry is stored as its space's rows, under its encoding when the
 space was already canonized, and is canonized lazily the first time a
-lookup lands in its bucket.  Equal encodings mean isomorphic spaces, so
-hits and misses are exactly those of a table keyed by encoding.
+lookup lands in its bucket.  A lookup canonizes its own space once and
+reuses that encoding for an entry with equal rows, so asking about the
+same space twice costs one search.  Entries keep rows, not spaces: a
+stored space would keep its index and caches alive.  Equal encodings
+mean isomorphic spaces, so hits and misses are exactly those of a table
+keyed by encoding.
 
 Tables are capped; on overflow the whole table is dropped, which keeps
 the code free of eviction bookkeeping while bounding memory.
@@ -51,10 +55,11 @@ class FormCache:
         if bucket is None:
             return MISSING
         pending, known = bucket
+        encoding = canonical_form(space).encoding
         for rows, value in pending:
-            known[canonical_encoding_rows(rows)] = value
+            known[encoding if rows == space._rows else canonical_encoding_rows(rows)] = value
         pending.clear()
-        return known.get(canonical_form(space).encoding, MISSING)
+        return known.get(encoding, MISSING)
 
     def put(self, space, value) -> None:
         if self._size >= CAPACITY:

@@ -39,7 +39,7 @@ from enum import Enum
 from .budget import Budget, BudgetExceeded, ensure_budget
 from .cache import MISSING, FormCache
 from .canon import canonical_form
-from .space import DigitalSpace
+from .space import DigitalSpace, _drop
 
 _CONTRACTIBLE = FormCache()
 
@@ -108,7 +108,7 @@ def _contractible_steps(G: DigitalSpace, inherited, budget: Budget):
             for i in _bits(simple):
                 row = G._rows[i]
                 child = (_drop(simple & ~row, i), _drop(row, i))
-                if (yield _without(G, i), child):
+                if (yield G.delete_points([G.points[i]]), child):
                     result = True
                     break
     _CONTRACTIBLE.put(G, result)
@@ -121,19 +121,6 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _drop(mask: int, i: int) -> int:
-    """mask over a space's points, re-indexed for the space without point i."""
-    return mask & ((1 << i) - 1) | mask >> (i + 1) << i
-
-
-def _without(G: DigitalSpace, i: int) -> DigitalSpace:
-    """G.delete_points([G.points[i]]), by shifting rows instead of
-    rebuilding them bit by bit."""
-    rows = [_drop(row, i) for row in G._rows]
-    del rows[i]
-    return DigitalSpace._from_rows(G.points[:i] + G.points[i + 1 :], rows)
 
 
 def is_simple_point(G: DigitalSpace, v: str, budget: Budget | None = None) -> bool:
@@ -370,26 +357,18 @@ def reduce_space(
     return ReduceResult(current, trace, exhausted)
 
 
-def _first_simple_point(G: DigitalSpace, budget: Budget, not_simple: set[str]):
-    """delete_simple_point on the first simple point of G, else None.
-    Points in not_simple are skipped, and points found not simple join it."""
-    for v in G.points:
-        if v in not_simple:
-            continue
-        try:
-            return delete_simple_point(G, v, budget)
-        except NotSimpleError:
-            not_simple.add(v)
-    return None
-
-
-def _first_move(G: DigitalSpace, move, candidates, budget: Budget):
-    """(space, step) of the first candidate move that is simple, else None."""
+def _first_move(G: DigitalSpace, move, candidates, budget: Budget, failed=None):
+    """(space, step) of the first candidate move that is simple, else None.
+    Candidates in failed are skipped, and candidates found not simple
+    join it."""
+    failed = set() if failed is None else failed
     for args in candidates:
+        if args in failed:
+            continue
         try:
             return move(G, *args, budget)
         except NotSimpleError:
-            pass
+            failed.add(args)
     return None
 
 
@@ -402,17 +381,21 @@ def _delete_moves(G: DigitalSpace, budget: Budget):
     changes its neighbours' rims, and deleting an edge those of its ends
     and of their common neighbours.
     """
-    not_simple: set[str] = set()
+    not_simple: set[tuple[str]] = set()
     while True:
         progressed = False
-        while len(G) > 1 and (done := _first_simple_point(G, budget, not_simple)):
-            not_simple.difference_update(G.neighbors(*done[1].points))
+        while len(G) > 1 and (
+            done := _first_move(G, delete_simple_point, zip(G.points), budget, not_simple)
+        ):
+            not_simple.difference_update(zip(G.neighbors(*done[1].points)))
             G = done[0]
             yield done
             progressed = True
         while done := _first_move(G, delete_simple_edge, G.edges, budget):
             v, u = done[1].points
-            not_simple -= {v, u} | set(G.neighbors(v)) & set(G.neighbors(u))
+            not_simple.difference_update(
+                zip({v, u} | set(G.neighbors(v)) & set(G.neighbors(u)))
+            )
             G = done[0]
             yield done
             progressed = True

@@ -27,6 +27,11 @@ _ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 DEFAULT_CLIQUE_LIMIT = 10_000_000
 
 
+def _drop(mask: int, i: int) -> int:
+    """mask over a space's points, re-indexed for the space without point i."""
+    return mask & ((1 << i) - 1) | mask >> (i + 1) << i
+
+
 def is_valid_point_id(point_id: object) -> bool:
     """True if point_id is a nonempty string over [A-Za-z0-9_]."""
     return isinstance(point_id, str) and bool(_ID_RE.match(point_id))
@@ -214,6 +219,12 @@ class DigitalSpace:
     def delete_points(self, point_ids: Iterable[str]) -> "DigitalSpace":
         """Space with the given points (and incident edges) removed."""
         mask = self._mask_of(point_ids)
+        if mask.bit_count() == 1:
+            # one point: shift each row past it instead of rebuilding rows
+            i = mask.bit_length() - 1
+            rows = [_drop(row, i) for row in self._rows]
+            del rows[i]
+            return DigitalSpace._from_rows(self._ids[:i] + self._ids[i + 1 :], rows)
         full = (1 << len(self._ids)) - 1
         return self._induced_by_mask(full & ~mask)
 

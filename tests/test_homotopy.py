@@ -481,3 +481,15 @@ def test_equal_invariants_of_different_spaces_miss(cold_memo):
     budget = Budget()
     assert is_contractible(support.shuffled(triangle, random.Random(1)), budget)
     assert budget.spent == 0
+
+
+def test_repeat_query_canonizes_once(cold_memo, monkeypatch):
+    """A lookup reuses its own encoding for an entry with equal rows, so
+    asking about the same space again runs one canonical search."""
+    calls = []
+    original = canon._canonical
+    monkeypatch.setattr(canon, "_canonical", lambda rows: calls.append(1) or original(rows))
+    cycle = support.cycle(8)
+    assert not is_contractible(cycle)
+    assert not is_contractible(cycle)
+    assert len(calls) == 1

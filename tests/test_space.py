@@ -52,6 +52,13 @@ def test_induced_subspace_of_cycle_is_path():
     assert sub.edges == (("c0", "c1"), ("c1", "c2"))
 
 
+def test_deleting_one_point_matches_the_induced_rest():
+    rng = random.Random(3)
+    for G in (torus16(), support.wheel(6), support.path(70), support.random_tree(rng, 90)):
+        for v in G.points:
+            assert G.delete_points([v]) == G.induced_subspace(set(G.points) - {v})
+
+
 def test_rim_and_ball():
     C = support.cycle(4)
     rim = C.rim("c0")
