@@ -4,22 +4,30 @@ Contractibility and sphere recognition both recurse through rims and
 punctured spaces, and the same small spaces appear over and over, so
 results are memoized per isomorphism class of the space.
 
-A canonical form is the exact key, but it is also the expensive part of
-a lookup, and most spaces a search meets (every level of a deletion
-chain, say) are never met again.  So entries are bucketed by a cheap
-invariant, the sorted degree sequence (which also fixes the point
-count).  A lookup whose bucket is empty is a miss with no canonization.
-An entry is stored as its space's rows, under its encoding when the
-space was already canonized, and is canonized lazily the first time a
-lookup lands in its bucket.  A lookup canonizes its own space once and
-reuses that encoding for an entry with equal rows, so asking about the
-same space twice costs one search.  Entries keep rows, not spaces: a
-stored space would keep its index and caches alive.  Equal encodings
-mean isomorphic spaces, so hits and misses are exactly those of a table
+A lookup first tries the exact tier: a dict from a space's rows to its
+value.  Equal rows are the same graph on the same positions, so this
+answers a space the table has already seen, under the same labels,
+with one tuple hash and no canonization.  Recognition meets the same
+labeled rims again and again (every rim of a rebuilt manifold, say),
+so most hits land here.
+
+A canonical form is the exact key across relabelings, but it is also
+the expensive part of a lookup, and most spaces a search meets (every
+level of a deletion chain, say) are never met again.  So entries are
+also bucketed by a cheap invariant, the sorted degree sequence (which
+fixes the point count).  A lookup that misses the exact tier and whose
+bucket is empty is a miss with no canonization.  An entry goes into
+its bucket under its encoding when its space was already canonized,
+and otherwise as rows, canonized lazily the first time a lookup lands
+in the bucket.  A bucket hit also records the looked-up rows in the
+exact tier.  Entries keep rows, not spaces: a stored space would keep
+its index and caches alive.  Equal rows and equal encodings both mean
+isomorphic spaces, so hits and misses are exactly those of a table
 keyed by encoding.
 
-Tables are capped; on overflow the whole table is dropped, which keeps
-the code free of eviction bookkeeping while bounding memory.
+Tables are capped at CAPACITY rows in the exact tier, which holds every
+entry; on overflow the whole table is dropped, which keeps the code
+free of eviction bookkeeping while bounding memory.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from .canon import canonical_encoding_rows, canonical_form
 
 MISSING = object()
 
-# entries per table before it is dropped
+# rows per table before it is dropped
 CAPACITY = 200_000
 
 _REGISTRY: list["FormCache"] = []
@@ -45,39 +53,48 @@ def _invariant(space) -> tuple[int, ...]:
 
 class FormCache:
     def __init__(self):
+        # rows -> value, for every entry and every bucket hit
+        self._exact: dict = {}
         # invariant -> (rows of entries not yet canonized, {encoding: value})
         self._buckets: dict = {}
-        self._size = 0
         _REGISTRY.append(self)
 
     def get(self, space):
+        value = self._exact.get(space._rows, MISSING)
+        if value is not MISSING:
+            return value
         bucket = self._buckets.get(_invariant(space))
         if bucket is None:
             return MISSING
         pending, known = bucket
-        encoding = canonical_form(space).encoding
-        for rows, value in pending:
-            known[encoding if rows == space._rows else canonical_encoding_rows(rows)] = value
+        for rows in pending:
+            known[canonical_encoding_rows(rows)] = self._exact[rows]
         pending.clear()
-        return known.get(encoding, MISSING)
+        value = known.get(canonical_form(space).encoding, MISSING)
+        if value is not MISSING:
+            self._record(space._rows, value)
+        return value
 
     def put(self, space, value) -> None:
-        if self._size >= CAPACITY:
-            self.clear()
+        self._record(space._rows, value)
         pending, known = self._buckets.setdefault(_invariant(space), ([], {}))
         form = space._cache.get("canonical_form")
         if form is None:
-            pending.append((space._rows, value))
+            pending.append(space._rows)
         else:
             known[form.encoding] = value
-        self._size += 1
+
+    def _record(self, rows, value) -> None:
+        if len(self._exact) >= CAPACITY:
+            self.clear()
+        self._exact[rows] = value
 
     def clear(self) -> None:
+        self._exact.clear()
         self._buckets.clear()
-        self._size = 0
 
     def __len__(self) -> int:
-        return self._size
+        return len(self._exact)
 
 
 def clear_all() -> None:

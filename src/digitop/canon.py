@@ -2,7 +2,8 @@
 
 The algorithm is the usual individualization-refinement search: refine
 an ordered partition of the points until it is equitable, individualize
-one point of the first smallest non-singleton cell, and recurse; the
+one point of the first smallest non-singleton cell, and search each such
+child depth first, on an explicit stack rather than by recursion; the
 canonical form is the lexicographically smallest adjacency encoding over
 all discrete partitions reached.
 
@@ -24,7 +25,7 @@ Two standard prunes keep the highly symmetric spaces in this library
 * automorphisms discovered at equal-encoding leaves merge candidate
   points into orbits, and only one candidate per orbit is expanded; each
   search node keeps one union-find and folds in only the automorphisms
-  found since it last looked;
+  found since it last looked, and only the points they move;
 * when a new automorphism is found, the search backjumps to the deepest
   node shared by the two leaf paths, because the rest of the current
   subtree is an automorphic image of an already explored one.
@@ -69,24 +70,18 @@ def _refine(rows: Sequence[int], cells: list[int], queue: list[int]) -> list[int
     every cell must already see each cell not on it equally.
     """
     n = len(cells)
-    cell_of = [0] * n
+    # built at the first splitter that reaches any point: a splitter with
+    # no neighbours splits nothing, so a search that individualizes points
+    # of an edgeless cell never pays for the index
+    cell_of: list[int] | None = None
     count = 0
-    for s, mask in enumerate(cells):
-        if mask:
-            count += 1
-            while mask:
-                low = mask & -mask
-                cell_of[low.bit_length() - 1] = s
-                mask ^= low
-    queued = [False] * n
-    for s in queue:
-        queued[s] = True
+    queued = set(queue)
     queue = list(queue)
     head = 0
     while head < len(queue) and count < n:
         s = queue[head]
         head += 1
-        queued[s] = False
+        queued.discard(s)
         splitter = cells[s]
         reach = 0
         m = splitter
@@ -94,6 +89,19 @@ def _refine(rows: Sequence[int], cells: list[int], queue: list[int]) -> list[int
             low = m & -m
             reach |= rows[low.bit_length() - 1]
             m ^= low
+        if not reach:
+            continue
+        if cell_of is None:
+            cell_of = [0] * n
+            for start, mask in enumerate(cells):
+                if mask:
+                    count += 1
+                    while mask:
+                        low = mask & -mask
+                        cell_of[low.bit_length() - 1] = start
+                        mask ^= low
+            if count == n:
+                break
         # neighbours of the splitter by cell, then by their count in it
         hits: dict[int, dict[int, int]] = {}
         m = reach
@@ -119,7 +127,7 @@ def _refine(rows: Sequence[int], cells: list[int], queue: list[int]) -> list[int
             fragments.extend(by_count[k] for k in sorted(by_count))
             sizes = [f.bit_count() for f in fragments]
             largest = sizes.index(max(sizes))
-            was_queued = queued[c]
+            was_queued = c in queued
             pos = c
             for i, fragment in enumerate(fragments):
                 cells[pos] = fragment
@@ -128,8 +136,8 @@ def _refine(rows: Sequence[int], cells: list[int], queue: list[int]) -> list[int
                         low = fragment & -fragment
                         cell_of[low.bit_length() - 1] = pos
                         fragment ^= low
-                if (was_queued or i != largest) and not queued[pos]:
-                    queued[pos] = True
+                if (was_queued or i != largest) and pos not in queued:
+                    queued.add(pos)
                     queue.append(pos)
                 pos += sizes[i]
             count += len(fragments) - 1
@@ -164,8 +172,9 @@ class _Orbits:
             x = parent[x]
         return x
 
-    def fold(self, gen: tuple[int, ...]) -> None:
-        for v, w in enumerate(gen):
+    def merge(self, pairs) -> None:
+        """Merge v with w for each (v, w), as enumerate(generator) gives."""
+        for v, w in pairs:
             a, b = self.find(v), self.find(w)
             if a != b:
                 self.parent[a] = b
@@ -182,30 +191,66 @@ class _Search:
         self.best_order: tuple[int, ...] | None = None
         self.best_path: tuple[int, ...] = ()
         self.generators: list[tuple[int, ...]] = []
+        # per generator: the bitmask of the points it moves, and its moves
+        self.moves: list[tuple[int, list[tuple[int, int]]]] = []
 
     def run(self) -> None:
+        """Depth-first search with an explicit stack of _children steps.
+
+        Each step yields the child partition it wants searched and is
+        resumed with that child's backjump depth or None, so deep searches
+        (one level per individualized point) use no Python recursion.
+        """
         if self.n == 0:
             return
         cells = [0] * self.n
         cells[0] = (1 << self.n) - 1
-        self._descend(_refine(self.rows, cells, [0]), ())
+        node = (_refine(self.rows, cells, [0]), (), 0)
+        stack = []
+        while True:
+            if node is not None:
+                cells, path, start = node
+                target, start = self._target(cells, start)
+                if target < 0:
+                    result = self._leaf(cells, path)
+                else:
+                    stack.append(self._children(cells, path, target, start))
+                    result = None
+            if not stack:
+                return
+            try:
+                node = stack[-1].send(result)
+            except StopIteration as done:
+                stack.pop()
+                node = None
+                result = done.value
 
-    def _descend(self, cells: list[int], path: tuple[int, ...]) -> int | None:
-        """Explore one node; return a backjump depth or None."""
-        target = -1
+    def _target(self, cells: list[int], start: int) -> tuple[int, int]:
+        """Starts of the first smallest and of the first non-singleton cell,
+        or -1 twice; every position before start holds a singleton."""
+        target = first = -1
         target_size = 0
-        s = 0
+        s = start
         while s < self.n:
             size = cells[s].bit_count()
-            if size > 1 and (target < 0 or size < target_size):
-                target = s
-                target_size = size
+            if size > 1:
+                if first < 0:
+                    first = s
+                if target < 0 or size < target_size:
+                    target = s
+                    target_size = size
             s += size
-        if target < 0:
-            return self._leaf(cells, path)
+        return target, first
 
+    def _children(self, cells: list[int], path: tuple[int, ...], target: int, start: int):
+        """Explore one inner node: yield (cells, path, start) of each child
+        to search, receive its result, and return a backjump depth or None.
+
+        Children refine this partition, so the singletons before start,
+        its first non-singleton cell, stay singletons in every child.
+        """
         cell = cells[target]
-        orbits = _Orbits(self.n)
+        orbits = None
         folded = 0
         tried: list[int] = []
         rest = cell
@@ -214,17 +259,20 @@ class _Search:
             rest ^= low
             v = low.bit_length() - 1
             if tried:
-                for gen in self.generators[folded:]:
-                    if all(gen[p] == p for p in path):
-                        orbits.fold(gen)
-                folded = len(self.generators)
+                if orbits is None:
+                    orbits = _Orbits(self.n)
+                    on_path = sum(1 << p for p in path)
+                for moved, pairs in self.moves[folded:]:
+                    if not moved & on_path:
+                        orbits.merge(pairs)
+                folded = len(self.moves)
                 root = orbits.find(v)
                 if any(orbits.find(u) == root for u in tried):
                     continue
             child = cells.copy()
             child[target] = low
             child[target + 1] = cell ^ low
-            result = self._descend(_refine(self.rows, child, [target]), path + (v,))
+            result = yield _refine(self.rows, child, [target]), path + (v,), start
             tried.append(v)
             if result is not None:
                 if result < len(path):
@@ -246,6 +294,8 @@ class _Search:
             for p in range(self.n):
                 perm[self.best_order[p]] = order[p]
             self.generators.append(tuple(perm))
+            pairs = [(v, w) for v, w in enumerate(perm) if v != w]
+            self.moves.append((sum(1 << v for v, _ in pairs), pairs))
             # deepest position where this path agrees with the best leaf's
             depth = 0
             limit = min(len(path), len(self.best_path))
@@ -306,7 +356,7 @@ def point_orbits(space: DigitalSpace) -> tuple[tuple[str, ...], ...]:
     n = len(space)
     orbits = _Orbits(n)
     for gen in space._cache["generators"]:
-        orbits.fold(gen)
+        orbits.merge(enumerate(gen))
     groups: dict[int, list[str]] = {}
     for v in range(n):
         groups.setdefault(orbits.find(v), []).append(space.points[v])

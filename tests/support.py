@@ -8,7 +8,10 @@ library implementations have something honest to disagree with.
 from __future__ import annotations
 
 import itertools
+import os
+from pathlib import Path
 
+import digitop
 from digitop import (
     DigitalSpace,
     NotSimpleError,
@@ -17,7 +20,15 @@ from digitop import (
     is_contractible,
 )
 from digitop.budget import Budget, ensure_budget
-from digitop.canon import canonical_encoding_rows, canonical_form, point_orbits
+from digitop.cache import MISSING
+from digitop.canon import (
+    _Orbits,
+    _refine,
+    _Search,
+    canonical_encoding_rows,
+    canonical_form,
+    point_orbits,
+)
 from digitop.recognition import (
     DiskDecomposition,
     RecognitionResult,
@@ -171,6 +182,84 @@ def reference_refine(rows, cells: list[list[int]]) -> list[list[int]]:
                     out.append(by_key[key])
         cells = out
     return cells
+
+
+# -- a memo keyed by canonical encoding alone ---------------------------------------
+
+
+class EncodingTable:
+    """A memo table keyed only by canonical encoding: one canonical search
+    per lookup, no tiers.  Swapped in for the library's tables, it gives
+    the verdicts and charges that every lookup tier must reproduce."""
+
+    def __init__(self):
+        self._table: dict[bytes, object] = {}
+
+    def get(self, space):
+        return self._table.get(canonical_form(space).encoding, MISSING)
+
+    def put(self, space, value) -> None:
+        self._table[canonical_form(space).encoding] = value
+
+    def clear(self) -> None:
+        self._table.clear()
+
+
+# -- recursive canonical search ----------------------------------------------------
+
+
+class ReferenceSearch(_Search):
+    """The canonical search as it was before the explicit stack: one Python
+    call per search node.  Kept as the reference for visit order, backjumps
+    and orbit pruning; it needs a recursion depth above the point count."""
+
+    def run(self) -> None:
+        if self.n == 0:
+            return
+        cells = [0] * self.n
+        cells[0] = (1 << self.n) - 1
+        self._descend(_refine(self.rows, cells, [0]), ())
+
+    def _descend(self, cells: list[int], path: tuple[int, ...]) -> int | None:
+        """Explore one node; return a backjump depth or None."""
+        target = -1
+        target_size = 0
+        s = 0
+        while s < self.n:
+            size = cells[s].bit_count()
+            if size > 1 and (target < 0 or size < target_size):
+                target = s
+                target_size = size
+            s += size
+        if target < 0:
+            return self._leaf(cells, path)
+
+        cell = cells[target]
+        orbits = _Orbits(self.n)
+        folded = 0
+        tried: list[int] = []
+        rest = cell
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            if tried:
+                for gen in self.generators[folded:]:
+                    if all(gen[p] == p for p in path):
+                        orbits.merge(enumerate(gen))
+                folded = len(self.generators)
+                root = orbits.find(v)
+                if any(orbits.find(u) == root for u in tried):
+                    continue
+            child = cells.copy()
+            child[target] = low
+            child[target + 1] = cell ^ low
+            result = self._descend(_refine(self.rows, child, [target]), path + (v,))
+            tried.append(v)
+            if result is not None:
+                if result < len(path):
+                    return result
+        return None
 
 
 # -- recognition, one rim loop per kind ----------------------------------------------
@@ -578,3 +667,16 @@ def exhaustive_oracle_agreement(max_points: int = 7) -> tuple[int, int, int]:
                 mismatches += 1
         _EXHAUSTIVE_RESULTS[max_points] = (checked, contractible, mismatches)
     return _EXHAUSTIVE_RESULTS[max_points]
+
+
+# -- subprocesses -------------------------------------------------------------------
+
+
+def child_env() -> dict[str, str]:
+    """os.environ with PYTHONPATH led by the directory this process imported
+    digitop from, so a `python -m digitop` child finds the same package,
+    installed or not."""
+    package_root = str(Path(digitop.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env

@@ -327,7 +327,9 @@ def test_acceptance_7_determinism_and_round_trip(capsys):
     script = [sys.executable, "-m", "digitop", "report", "-", "--json"]
     feed = serialize(torus16()).encode()
     runs = [
-        subprocess.run(script, input=feed, capture_output=True, timeout=120)
+        subprocess.run(
+            script, input=feed, capture_output=True, timeout=120, env=support.child_env()
+        )
         for _ in range(2)
     ]
     identical &= runs[0].stdout == runs[1].stdout and runs[0].returncode == 0

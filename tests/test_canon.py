@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 
 import support
 from digitop import (
@@ -277,3 +278,52 @@ def test_cycle_differs_from_two_disjoint_cycles():
     )
     assert canonical_form(twelve).encoding != canonical_form(two_sixes).encoding
     assert not are_isomorphic(twelve, two_sixes)
+
+
+# -- the search runs on an explicit stack ---------------------------------------------
+
+
+def _search_result(search_class, rows):
+    search = search_class(rows)
+    search.run()
+    return search.best_encoding, search.best_order, search.best_path, search.generators
+
+
+def test_stack_search_matches_recursive_reference():
+    """Same leaves, same best path and the same automorphisms in the same
+    order as the recursive search, on the corpus and on symmetric spaces
+    where orbit pruning and backjumps do the work."""
+    graphs = 0
+    for rows in support.all_connected_rows(7):
+        graphs += 1
+        assert _search_result(canon._Search, rows) == _search_result(support.ReferenceSearch, rows)
+    assert graphs == 996
+    rng = random.Random(4)
+    for G in (
+        minimal_sphere(3),
+        torus16(),
+        _torus_grid(5),
+        support.complete(9),
+        DigitalSpace([f"x{i}" for i in range(40)], []),
+        _random_tree(rng, 30),
+        support.random_space(rng, 25, 0.3),
+    ):
+        assert _search_result(canon._Search, G._rows) == _search_result(
+            support.ReferenceSearch, G._rows
+        )
+
+
+def test_deep_search_needs_no_recursion():
+    """Refinement never splits an edgeless space, so the search goes one
+    level deeper per point; with the recursion limit below the point
+    count, a recursive search would raise RecursionError."""
+    n = 400
+    G = DigitalSpace([f"x{i:03d}" for i in range(n)], [])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(n // 2)
+    try:
+        form = canonical_form(G)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert form.encoding == n.to_bytes(2, "big") + bytes(n * ((n + 7) // 8))
+    assert point_orbits(G) == (G.points,)

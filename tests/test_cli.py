@@ -4,14 +4,11 @@ from __future__ import annotations
 
 import io
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import digitop
 import support
 from digitop import DigitalSpace, cache, minimal_sphere, parse, serialize, torus16
 from digitop.cli import main
@@ -300,12 +297,7 @@ def test_repeated_invocations_are_byte_identical(capsys, torus_file, octa_file):
 
 def test_console_entry_point_subprocess(tmp_path):
     """The module runs as a subprocess with identical bytes."""
-    # the child imports digitop from where this process did, installed or not
-    package_root = str(Path(digitop.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [package_root, env.get("PYTHONPATH")])
-    )
+    env = support.child_env()
     script = [sys.executable, "-m", "digitop", "gen", "projplane11"]
     first = subprocess.run(script, capture_output=True, timeout=60, env=env)
     second = subprocess.run(script, capture_output=True, timeout=60, env=env)

@@ -34,7 +34,7 @@ from digitop import (
     simple_points,
     torus16,
 )
-from digitop import Budget, cache, canon
+from digitop import Budget, cache, canon, homotopy
 
 
 def test_contractible_examples():
@@ -483,13 +483,56 @@ def test_equal_invariants_of_different_spaces_miss(cold_memo):
     assert budget.spent == 0
 
 
-def test_repeat_query_canonizes_once(cold_memo, monkeypatch):
-    """A lookup reuses its own encoding for an entry with equal rows, so
-    asking about the same space again runs one canonical search."""
+def test_repeat_query_canonizes_nothing(cold_memo, monkeypatch):
+    """The exact tier answers a space with rows the table already holds,
+    so asking about the same space again runs no canonical search."""
     calls = []
     original = canon._canonical
     monkeypatch.setattr(canon, "_canonical", lambda rows: calls.append(1) or original(rows))
     cycle = support.cycle(8)
     assert not is_contractible(cycle)
     assert not is_contractible(cycle)
-    assert len(calls) == 1
+    assert len(calls) == 0
+
+
+def test_shuffled_repeat_canonizes_once(cold_memo, monkeypatch):
+    """A relabeled copy misses the exact tier and hits through its bucket
+    with one canonical search of its own; its rows are then recorded, so
+    asking again costs nothing."""
+    cycle = support.cycle(8)
+    assert not is_contractible(cycle)
+    # the first bucket hit also canonizes the pending entry
+    assert not is_contractible(support.shuffled(cycle, random.Random(2)))
+    calls = []
+    original = canon._canonical
+    monkeypatch.setattr(canon, "_canonical", lambda rows: calls.append(1) or original(rows))
+    copy = support.shuffled(cycle, random.Random(3))
+    assert copy._rows != cycle._rows
+    for _ in range(2):
+        budget = Budget()
+        assert not is_contractible(copy, budget)
+        assert budget.spent == 0
+        assert len(calls) == 1
+
+
+def test_small_capacity_keeps_verdicts_and_empties_both_tiers(cold_memo, monkeypatch):
+    """Every rows key counts toward CAPACITY, and an overflow drops the
+    exact tier with the buckets; verdicts stay right throughout."""
+    monkeypatch.setattr(cache, "CAPACITY", 5)
+    table = homotopy._CONTRACTIBLE
+    rng = random.Random(9)
+    spaces = [support.random_space(rng, 7) for _ in range(40)]
+    spaces += [support.shuffled(G, rng) for G in spaces]
+    for G in spaces + spaces:
+        assert is_contractible(G) == support.reference_contractible(G)
+        assert len(table) <= cache.CAPACITY
+    table.clear()
+    paths = [support.path(k) for k in range(2, 8)]
+    for G in paths[:5]:
+        table.put(G, True)
+    assert len(table) == 5
+    table.put(paths[5], True)
+    assert len(table) == 1
+    assert table.get(paths[0]) is cache.MISSING
+    assert table.get(support.shuffled(paths[0], rng)) is cache.MISSING
+    assert table.get(paths[5]) is True

@@ -27,7 +27,7 @@ from digitop import (
     require_closed_manifold,
     torus16,
 )
-from digitop import cache, canon, recognition
+from digitop import cache, canon, homotopy, recognition
 from digitop.canon import point_orbits
 
 
@@ -250,8 +250,8 @@ def cold_memo():
 
 
 def test_warm_recognize_of_a_closed_manifold_walks_no_rims(cold_memo, monkeypatch):
-    """The memo stores the closed dimension, so a repeat canonizes the
-    torus to find its entry and nothing else."""
+    """The memo stores the closed dimension, and the exact tier finds the
+    rebuilt torus by its rows, so a repeat canonizes nothing."""
     assert recognize(torus16()) == RecognitionResult(SpaceKind.CLOSED_MANIFOLD, 2)
     calls = []
     original = canon._canonical
@@ -259,7 +259,19 @@ def test_warm_recognize_of_a_closed_manifold_walks_no_rims(cold_memo, monkeypatc
     budget = Budget()
     assert recognize(torus16(), budget) == RecognitionResult(SpaceKind.CLOSED_MANIFOLD, 2)
     assert budget.spent == 0
-    assert len(calls) == 1
+    assert len(calls) == 0
+
+
+def test_warm_require_closed_manifold_canonizes_no_rims(cold_memo, monkeypatch):
+    """Each rim of a rebuilt torus hits the sphere memo by its rows."""
+    assert require_closed_manifold(torus16()) == 2
+    calls = []
+    original = canon._canonical
+    monkeypatch.setattr(canon, "_canonical", lambda rows: calls.append(1) or original(rows))
+    budget = Budget()
+    assert require_closed_manifold(torus16(), budget) == 2
+    assert budget.spent == 0
+    assert len(calls) == 0
 
 
 def test_sphere_memo_tells_equal_invariants_apart(cold_memo):
@@ -273,3 +285,49 @@ def test_sphere_memo_tells_equal_invariants_apart(cold_memo):
     budget = Budget()
     assert recognize_sphere(support.shuffled(support.cycle(8), random.Random(2)), budget) == 1
     assert budget.spent == 0
+
+
+def _corpus_passes(corpus):
+    """The corpus as fresh spaces: for a cold pass, a warm pass, a warm
+    pass under the same labels and one under shuffled labels."""
+    rng = random.Random(8)
+    passes = [[support.space_from_rows(rows) for rows in corpus] for _ in range(3)]
+    passes.append([support.shuffled(support.space_from_rows(rows), rng) for rows in corpus])
+    return passes
+
+
+def _verdicts(passes, tables):
+    """(recognize, is_contractible) verdicts with their charges; the tables
+    are cleared before every space of the first pass, and then never."""
+    out = []
+    for number, spaces in enumerate(passes):
+        for G in spaces:
+            if number == 0:
+                for table in tables:
+                    table.clear()
+            kind, contractible = Budget(), Budget()
+            out.append((
+                recognize(G, kind), kind.spent,
+                homotopy.is_contractible(G, contractible), contractible.spent,
+            ))
+    return out
+
+
+def test_memo_tiers_match_a_table_keyed_by_encoding(cold_memo, monkeypatch):
+    """The exact tier and the buckets give the verdicts of the references
+    and the charges of a table keyed by canonical encoding alone, cold,
+    warm, warm under the same labels and warm under shuffled labels."""
+    corpus = list(support.all_connected_rows(7))
+    passes = _corpus_passes(corpus)
+    # the first three passes share labels, so they share reference verdicts
+    cold, shuffled = (
+        [(support.reference_recognize(G), support.reference_contractible(G)) for G in spaces]
+        for spaces in (passes[0], passes[3])
+    )
+    expected = cold * 3 + shuffled
+    tiered = _verdicts(_corpus_passes(corpus), [recognition._SPHERE, homotopy._CONTRACTIBLE])
+    assert [(kind, contractible) for kind, _, contractible, _ in tiered] == expected
+    sphere, contractible = support.EncodingTable(), support.EncodingTable()
+    monkeypatch.setattr(recognition, "_SPHERE", sphere)
+    monkeypatch.setattr(homotopy, "_CONTRACTIBLE", contractible)
+    assert tiered == _verdicts(_corpus_passes(corpus), [sphere, contractible])
