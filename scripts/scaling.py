@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Scaling rows for cold-memo contractibility on paths and random trees.
+"""Scaling rows for cold-memo contractibility and for catalog growth.
 
     python3 scripts/scaling.py [--src DIR]
 
@@ -7,11 +7,14 @@ For each size n in SIZES it runs is_contractible on path(n) and on a seeded
 random tree with n points, each with the memo tables cleared first, and
 prints one JSON row per run: input, n, wall_s, nodes (budget charged)
 and canon_calls (canonical searches, counted by wrapping
-digitop.canon._canonical).  The last row holds the log-log slope of
+digitop.canon._canonical).  The next row holds the log-log slope of
 wall_s over the sizes of at least 100 points, per input, computed by
-bench/tracing.py's loglog_slope.  --src picks the digitop sources to
-import (default: src/ next to this script), so two checkouts can be
-compared with the same script.  Standard library only.
+bench/tracing.py's loglog_slope.  Then it runs catalog(n, max_points)
+for each pair in CATALOGS, memo cleared, with the default catalog budget,
+and prints the same fields plus exhaustive and the entry count.  --src
+picks the digitop sources to import (default: src/ next to this script),
+so two checkouts can be compared with the same script.  Standard library
+only.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ sys.path.insert(0, str(REPO / "bench"))
 from tracing import loglog_slope  # noqa: E402
 
 SIZES = (50, 100, 200, 400, 800)
+CATALOGS = ((2, 7), (2, 8), (2, 9), (2, 10), (3, 8), (3, 9), (3, 10))
 
 
 def path_space(dg, n: int):
@@ -78,7 +82,18 @@ def main(argv=None) -> int:
     print(json.dumps({"loglog_slope_n_ge_100": {
         name: round(loglog_slope(points), 3)
         for name, points in slopes.items()
-    }}))
+    }}), flush=True)
+    for n, max_points in CATALOGS:
+        dg.cache.clear_all()
+        calls[0] = 0
+        budget = dg.Budget(dg.classify.DEFAULT_CATALOG_BUDGET)
+        start = time.perf_counter()
+        cat = dg.catalog(n, max_points, budget)
+        wall = time.perf_counter() - start
+        print(json.dumps({"input": "catalog", "n": n, "max_points": max_points,
+                          "wall_s": round(wall, 4), "nodes": budget.spent,
+                          "canon_calls": calls[0], "exhaustive": cat.exhaustive,
+                          "entries": len(cat.entries)}), flush=True)
     return 0
 
 

@@ -7,10 +7,12 @@ form of the compression, and the reduced punctured space (canonical
 form plus Euler characteristic).
 
 catalog(n, N) enumerates the compressed closed n-manifolds with at most
-N points: connected graphs are grown one point at a time, deduplicated
-by canonical form at every size, pruned by necessary conditions for
-sitting inside an n-manifold of size <= N, and finally filtered by the
-recognizer and edge-compressedness.
+N points.  Connected graphs are grown one point at a time: a search over
+the new point's neighbourhood builds only the graphs that still meet
+necessary conditions for sitting inside an n-manifold of size <= N, one
+per orbit of the parent's discovered automorphisms.  Each size is
+deduplicated by canonical form, and the graphs are finally filtered by
+the recognizer and edge-compressedness.
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from . import canon
 from .budget import Budget, BudgetExceeded, ensure_budget
 from .canon import CanonicalForm, canonical_encoding_rows, canonical_form
-from .homotopy import ReductionStrategy, reduce_space
+from .homotopy import ReductionStrategy, _bits, reduce_space
 from .recognition import recognize_closed_manifold, require_closed_manifold
 from .space import DigitalSpace
 from .transform import _disks, compress
@@ -90,15 +93,18 @@ def classification_report(
 
 # -- catalog generation ----------------------------------------------------------
 
-# sized so that the 2-manifold search is exhaustive through 10 points
+# catalog(2, 10) is exhaustive after about 540k nodes of this budget
 DEFAULT_CATALOG_BUDGET = 4_000_000
 
 
 def catalog(n: int, max_points: int, budget: Budget | None = None) -> Catalog:
     """All compressed closed n-manifolds with 2n+2 .. max_points points.
 
-    Budget exhaustion never raises here; it clears the exhaustive flag
-    and whatever was found so far is returned.
+    The budget is charged one node per partial neighbourhood mask that
+    the growth search visits, plus what recognizing each grown graph and
+    scanning it for edge-disks charge.  Budget exhaustion never raises
+    here; it clears the exhaustive flag and whatever was found so far is
+    returned.
     """
     if n < 0:
         raise ValueError("dimension must be nonnegative")
@@ -143,8 +149,10 @@ def _grown_connected_graphs(n: int, max_points: int, budget: Budget):
 
     Each new point gets a nonempty neighbourhood, which reaches every
     connected graph (delete a spanning-tree leaf to find the parent).
-    Candidates violating necessary conditions for extension into a
-    closed n-manifold with at most max_points points are pruned.
+    Only the neighbourhoods that _augmentations finds extendable into a
+    closed n-manifold with at most max_points points are canonized.
+    Each tier is yielded in encoding order, and each class keeps the
+    first labelled copy in parent order, then ascending mask order.
     """
     tier: dict[bytes, list[int]] = {canonical_encoding_rows([0]): [0]}
     yield [0]
@@ -152,17 +160,7 @@ def _grown_connected_graphs(n: int, max_points: int, budget: Budget):
         remaining = max_points - size
         next_tier: dict[bytes, list[int]] = {}
         for enc in sorted(tier):
-            rows = tier[enc]
-            s = len(rows)
-            for mask in range(1, 1 << s):
-                budget.charge()
-                candidate = [
-                    row | (1 << s) if mask >> i & 1 else row
-                    for i, row in enumerate(rows)
-                ]
-                candidate.append(mask)
-                if _prune(candidate, n, remaining):
-                    continue
+            for candidate in _augmentations(tier[enc], n, remaining, budget):
                 key = canonical_encoding_rows(candidate)
                 if key not in next_tier:
                     next_tier[key] = candidate
@@ -171,34 +169,97 @@ def _grown_connected_graphs(n: int, max_points: int, budget: Budget):
         tier = next_tier
 
 
-def _prune(rows: list[int], n: int, remaining: int) -> bool:
-    """True when rows cannot extend to a closed n-manifold in time."""
-    size = len(rows)
-    # every point of the final manifold has degree >= 2n, and each of
-    # the points still to come adds at most one neighbour
-    for row in rows:
-        if row.bit_count() < 2 * n - remaining:
-            return True
+def _augmentations(
+    rows: list[int], n: int, remaining: int, budget: Budget
+) -> list[list[int]]:
+    """rows plus one new point, for each neighbourhood mask that may still
+    extend to a closed n-manifold with remaining more points.
+
+    rows must have passed this test with remaining + 1, so only what the
+    new point changes is checked.  A depth-first search on an explicit
+    stack decides bits from the highest down, excluding a point before
+    including it, so masks come out in ascending order; it charges one
+    node per partial mask.  A partial mask is cut when every mask
+    containing it must fail:
+
+    * each point's degree reaches 2n - remaining, as every point still to
+      come adds at most one neighbour: a point below that floor must join,
+      and the new point needs that many neighbours;
+    * n = 1: no degree exceeds 2;
+    * otherwise the mask (the new point's rim) holds no (n+1)-clique;
+    * n = 2: in each changed rim, the mask's and those of its points, no
+      degree exceeds 2, as on a cycle.
+
+    For n = 2 a complete mask must also leave each changed rim able to
+    close into an induced cycle of length >= 4.  A surviving mask that a
+    discovered automorphism of rows maps to a smaller one is dropped: that
+    graph is isomorphic and comes first, so each class keeps its first
+    mask.
+    """
+    s = len(rows)
+    floor = 2 * n - remaining
+    forced = 0
+    allowed = (1 << s) - 1
+    for v, row in enumerate(rows):
+        degree = row.bit_count()
+        if degree + 1 < floor or (n == 1 and degree > 2):
+            return []
+        if degree < floor:
+            forced |= 1 << v
+        if n == 1 and degree == 2:
+            allowed ^= 1 << v
+    if s < floor:
+        return []
+    kept: list[tuple[int, list[int]]] = []
+    new = 1 << s
+    # (undecided low bits, mask so far); count + undecided >= floor holds
+    stack = [(s, 0)]
+    while stack:
+        k, mask = stack.pop()
+        budget.charge()
+        if k:
+            k -= 1
+            bit = 1 << k
+            if allowed & bit and _may_join(rows, n, k, mask):
+                stack.append((k, mask | bit))
+            if not forced & bit and mask.bit_count() + k >= floor:
+                stack.append((k, mask))
+            continue
+        if not mask:
+            continue
+        candidate = [row | new if mask >> i & 1 else row for i, row in enumerate(rows)]
+        candidate.append(mask)
+        if n == 2 and not all(
+            _rim_extends_to_cycle(candidate, v) for v in _bits(mask | new)
+        ):
+            continue
+        kept.append((mask, candidate))
+    if len(kept) > 1:
+        generators = canon._canonical(rows)[2]
+        if generators:
+            kept = [
+                (mask, candidate)
+                for mask, candidate in kept
+                if all(
+                    sum(1 << g[v] for v in _bits(mask)) >= mask for g in generators
+                )
+            ]
+    return [candidate for _, candidate in kept]
+
+
+def _may_join(rows: list[int], n: int, v: int, mask: int) -> bool:
+    """Can point v join the partial mask without failing a cut above?"""
     if n == 1:
-        return any(row.bit_count() > 2 for row in rows)
-    # rims of an n-manifold contain no (n+1)-clique, so the whole graph
-    # has no (n+2)-clique; check around the newest point
-    newest = size - 1
-    if _has_clique(rows, rows[newest], n + 1):
-        return True
+        return mask.bit_count() < 2
+    common = rows[v] & mask
     if n == 2:
-        for v in range(size):
-            if not _rim_extends_to_cycle(rows, v):
-                return True
-        for v in range(size):
-            row = rows[v]
-            rest = row
-            while rest:
-                u = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                if u > v and (row & rows[u]).bit_count() > 2:
-                    return True
-    return False
+        if common.bit_count() > 2:
+            return False
+        grown = mask | 1 << v
+        for u in _bits(common):
+            if (rows[u] & grown).bit_count() > 2 or (rows[u] & rows[v]).bit_count() > 1:
+                return False
+    return not _has_clique(rows, common, n)
 
 
 def _has_clique(rows: list[int], mask: int, k: int) -> bool:

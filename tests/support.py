@@ -21,6 +21,7 @@ from digitop import (
 )
 from digitop.budget import Budget, ensure_budget
 from digitop.cache import MISSING
+from digitop.classify import _has_clique, _rim_extends_to_cycle
 from digitop.canon import (
     _Orbits,
     _refine,
@@ -148,6 +149,75 @@ def all_connected_rows(max_points: int):
                     next_tier[key] = tuple(grown)
         tier = next_tier
         yield from tier.values()
+
+
+# -- catalog growth over every mask -------------------------------------------------
+
+
+def reference_grown_connected_graphs(n: int, max_points: int, budget: Budget):
+    """The catalog generator before the neighbourhood search: every mask
+    of every parent becomes a candidate, checked by the whole-graph prune.
+
+    Connected graphs up to isomorphism, grown one point at a time.
+
+    Each new point gets a nonempty neighbourhood, which reaches every
+    connected graph (delete a spanning-tree leaf to find the parent).
+    Candidates violating necessary conditions for extension into a
+    closed n-manifold with at most max_points points are pruned.
+    """
+    tier: dict[bytes, list[int]] = {canonical_encoding_rows([0]): [0]}
+    yield [0]
+    for size in range(2, max_points + 1):
+        remaining = max_points - size
+        next_tier: dict[bytes, list[int]] = {}
+        for enc in sorted(tier):
+            rows = tier[enc]
+            s = len(rows)
+            for mask in range(1, 1 << s):
+                budget.charge()
+                candidate = [
+                    row | (1 << s) if mask >> i & 1 else row
+                    for i, row in enumerate(rows)
+                ]
+                candidate.append(mask)
+                if _reference_prune(candidate, n, remaining):
+                    continue
+                key = canonical_encoding_rows(candidate)
+                if key not in next_tier:
+                    next_tier[key] = candidate
+        for enc in sorted(next_tier):
+            yield next_tier[enc]
+        tier = next_tier
+
+
+def _reference_prune(rows: list[int], n: int, remaining: int) -> bool:
+    """True when rows cannot extend to a closed n-manifold in time."""
+    size = len(rows)
+    # every point of the final manifold has degree >= 2n, and each of
+    # the points still to come adds at most one neighbour
+    for row in rows:
+        if row.bit_count() < 2 * n - remaining:
+            return True
+    if n == 1:
+        return any(row.bit_count() > 2 for row in rows)
+    # rims of an n-manifold contain no (n+1)-clique, so the whole graph
+    # has no (n+2)-clique; check around the newest point
+    newest = size - 1
+    if _has_clique(rows, rows[newest], n + 1):
+        return True
+    if n == 2:
+        for v in range(size):
+            if not _rim_extends_to_cycle(rows, v):
+                return True
+        for v in range(size):
+            row = rows[v]
+            rest = row
+            while rest:
+                u = (rest & -rest).bit_length() - 1
+                rest &= rest - 1
+                if u > v and (row & rows[u]).bit_count() > 2:
+                    return True
+    return False
 
 
 # -- round-based partition refinement -----------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 import support
@@ -20,6 +22,7 @@ from digitop import (
     r_transform,
     torus16,
 )
+from digitop.classify import _augmentations, _grown_connected_graphs
 
 
 def test_complexity_values():
@@ -101,6 +104,33 @@ def test_catalog_dimension_2():
 def test_catalog_budget_exhaustion_is_flagged_not_raised():
     cat = catalog(2, 9, Budget(500))
     assert not cat.exhaustive
+
+
+@pytest.mark.parametrize("n, max_points", [(1, 12), (2, 8), (3, 9), (4, 11)])
+def test_catalog_growth_matches_the_full_mask_loop(n, max_points):
+    """The neighbourhood search yields the tiers of the loop over all 2^s
+    masks with the whole-graph prune: the same labelled graphs, in the
+    same order."""
+    grown = list(_grown_connected_graphs(n, max_points, Budget(None)))
+    reference = support.reference_grown_connected_graphs(n, max_points, Budget(None))
+    assert grown == list(reference)
+
+
+def test_augmentation_search_needs_no_recursion():
+    """For n = 1 only a path's two ends may join the new point; the search
+    still walks one level per point, so with the recursion limit below the
+    point count a recursive search would raise RecursionError."""
+    size = 1500
+    rows = [(1 << v - 1 if v else 0) | (1 << v + 1 if v < size - 1 else 0)
+            for v in range(size)]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(size // 2)
+    try:
+        grown = _augmentations(rows, 1, 10, Budget(None))
+    finally:
+        sys.setrecursionlimit(limit)
+    # attaching to the last end mirrors attaching to the first
+    assert [candidate[-1] for candidate in grown] == [1, 1 | 1 << size - 1]
 
 
 def test_catalog_validation():
