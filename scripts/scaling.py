@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Scaling rows for cold-memo contractibility and for catalog growth.
+"""Scaling rows for cold-memo contractibility, catalog growth and rims.
 
     python3 scripts/scaling.py [--src DIR]
 
@@ -11,7 +11,12 @@ digitop.canon._canonical).  The next row holds the log-log slope of
 wall_s over the sizes of at least 100 points, per input, computed by
 bench/tracing.py's loglog_slope.  Then it runs catalog(n, max_points)
 for each pair in CATALOGS, memo cleared, with the default catalog budget,
-and prints the same fields plus exhaustive and the entry count.  --src
+and prints the same fields plus exhaustive and the entry count.  Then it
+runs is_contractible on the complete graph with n points for each n in
+CONES, memo cleared, and prints wall_s and nodes, or the exception the
+call raised.  The last row times building the rim of every point of
+torus16 grown by GROWTH seeded R-transforms: the fastest of RIM_BATCHES
+batches of RIM_PASSES passes, in ms per pass.  --src
 picks the digitop sources to import (default: src/ next to this script),
 so two checkouts can be compared with the same script.  Standard library
 only.
@@ -33,6 +38,8 @@ from tracing import loglog_slope  # noqa: E402
 
 SIZES = (50, 100, 200, 400, 800)
 CATALOGS = ((2, 7), (2, 8), (2, 9), (2, 10), (3, 8), (3, 9), (3, 10))
+CONES = (20, 24, 200)
+GROWTH, RIM_BATCHES, RIM_PASSES = 10, 15, 200
 
 
 def path_space(dg, n: int):
@@ -94,6 +101,34 @@ def main(argv=None) -> int:
                           "wall_s": round(wall, 4), "nodes": budget.spent,
                           "canon_calls": calls[0], "exhaustive": cat.exhaustive,
                           "entries": len(cat.entries)}), flush=True)
+    for n in CONES:
+        ids = [f"k{i:03d}" for i in range(n)]
+        edges = [(p, q) for i, p in enumerate(ids) for q in ids[:i]]
+        space = dg.DigitalSpace(ids, edges)
+        dg.cache.clear_all()
+        budget = dg.Budget()
+        row = {"input": "complete", "n": n}
+        start = time.perf_counter()
+        try:
+            row["contractible"] = dg.is_contractible(space, budget)
+        except (dg.BudgetExceeded, RecursionError) as exc:
+            row["raised"] = type(exc).__name__
+        row.update(wall_s=round(time.perf_counter() - start, 4), nodes=budget.spent)
+        print(json.dumps(row), flush=True)
+    rng = random.Random(0)
+    torus = dg.torus16()
+    for _ in range(GROWTH):
+        torus = dg.r_transform(torus, *rng.choice(torus.edges))
+    batches = []
+    for _ in range(RIM_BATCHES):
+        start = time.perf_counter()
+        for _ in range(RIM_PASSES):
+            for v in torus.points:
+                torus.rim(v)
+        batches.append((time.perf_counter() - start) / RIM_PASSES)
+    print(json.dumps({"input": "grown_torus_rims", "points": len(torus),
+                      "growth_seed": 0, "per_pass_ms": round(1000 * min(batches), 4)}),
+          flush=True)
     return 0
 
 

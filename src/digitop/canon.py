@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .space import DigitalSpace
+from .space import DigitalSpace, _reindex
 
 
 @dataclass(frozen=True)
@@ -144,21 +144,6 @@ def _refine(rows: Sequence[int], cells: list[int], queue: list[int]) -> list[int
     return cells
 
 
-def _encode_order(rows: Sequence[int], order: Sequence[int]) -> tuple[int, ...]:
-    """Adjacency rows after relabeling point order[p] to p."""
-    position = {v: p for p, v in enumerate(order)}
-    encoded = []
-    for v in order:
-        row = rows[v]
-        new_row = 0
-        while row:
-            u = (row & -row).bit_length() - 1
-            row &= row - 1
-            new_row |= 1 << position[u]
-        encoded.append(new_row)
-    return tuple(encoded)
-
-
 class _Orbits:
     """Union-find over the points, merged along automorphisms."""
 
@@ -187,7 +172,7 @@ class _Search:
     def __init__(self, rows: Sequence[int]):
         self.rows = tuple(rows)
         self.n = len(rows)
-        self.best_encoding: tuple[int, ...] | None = None
+        self.best_encoding: list[int] | None = None
         self.best_order: tuple[int, ...] | None = None
         self.best_path: tuple[int, ...] = ()
         self.generators: list[tuple[int, ...]] = []
@@ -282,7 +267,7 @@ class _Search:
 
     def _leaf(self, cells: list[int], path: tuple[int, ...]) -> int | None:
         order = tuple(cell.bit_length() - 1 for cell in cells)
-        encoding = _encode_order(self.rows, order)
+        encoding = _reindex(self.rows, order, (1 << self.n) - 1)
         if self.best_encoding is None or encoding < self.best_encoding:
             self.best_encoding = encoding
             self.best_order = order

@@ -23,9 +23,9 @@ from enum import Enum
 from . import canon
 from .budget import Budget, BudgetExceeded, ensure_budget
 from .canon import CanonicalForm, canonical_encoding_rows, canonical_form
-from .homotopy import ReductionStrategy, _bits, reduce_space
+from .homotopy import ReductionStrategy, reduce_space
 from .recognition import recognize_closed_manifold, require_closed_manifold
-from .space import DigitalSpace
+from .space import DigitalSpace, _bits, _reach
 from .transform import _disks, compress
 
 
@@ -280,39 +280,19 @@ def _rim_extends_to_cycle(rows: list[int], v: int) -> bool:
     Inside a closed 2-manifold every rim is such a cycle; any induced
     subgraph of it is a disjoint union of paths or the full cycle.
     """
-    members = []
-    mask = rows[v]
-    m = mask
-    while m:
-        u = (m & -m).bit_length() - 1
-        m &= m - 1
-        members.append(u)
-    degrees = {u: (rows[u] & mask).bit_count() for u in members}
-    if any(d > 2 for d in degrees.values()):
-        return False
-    edge_count = sum(degrees.values()) // 2
-    components = 0
-    seen: set[int] = set()
-    for start in members:
-        if start in seen:
-            continue
-        components += 1
-        seen.add(start)
-        frontier = [start]
-        while frontier:
-            u = frontier.pop()
-            nbrs = rows[u] & mask
-            while nbrs:
-                w = (nbrs & -nbrs).bit_length() - 1
-                nbrs &= nbrs - 1
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-    if edge_count == len(members) - components:
+    rim = rows[v]
+    ends = 0  # points of rim degree < 2: every path component has one
+    for u in _bits(rim):
+        degree = (rows[u] & rim).bit_count()
+        if degree > 2:
+            return False
+        if degree < 2:
+            ends |= 1 << u
+    if _reach(rows, ends, rim) == rim:
         return True  # disjoint union of paths, can still grow
     # some component closed into a cycle, which is only legal when the
     # cycle is the entire rim and has length >= 4
-    return components == 1 and edge_count == len(members) >= 4
+    return not ends and rim.bit_count() >= 4 and _reach(rows, rim & -rim, rim) == rim
 
 
 def classify_against_catalog(

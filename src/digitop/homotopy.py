@@ -13,12 +13,16 @@ evaluated in a fixed order:
 
   (a) one point: contractible
   (b) disconnected: not contractible
-  (c) Euler characteristic != 1: not contractible
-  (d) a point adjacent to all others: contractible (the space is a cone)
+  (c) a point adjacent to all others: contractible (the space is a cone)
+  (d) Euler characteristic != 1: not contractible
   (e) fewer than two simple points: not contractible
   (f) otherwise recurse on G - v for each simple point v
 
-Prunes (b) and (c) run only at a root: a top-level call or a rim.  Down
+The cone test comes before chi because it costs one pass over the rows,
+while chi enumerates every clique: a complete graph is answered at once.
+A cone has chi = 1, so the order changes no verdict.
+
+Prunes (b) and (d) run only at a root: a top-level call or a rim.  Down
 a deletion chain they can never fire.  A simple point's rim is
 contractible, so it is nonempty and connected, and every path through v
 can detour through it: G - v stays connected.  A contractible rim has
@@ -39,7 +43,7 @@ from enum import Enum
 from .budget import Budget, BudgetExceeded, ensure_budget
 from .cache import MISSING, FormCache
 from .canon import canonical_form
-from .space import DigitalSpace, _drop
+from .space import DigitalSpace, _bits, _drop
 
 _CONTRACTIBLE = FormCache()
 
@@ -94,10 +98,10 @@ def _contractible_steps(G: DigitalSpace, inherited, budget: Budget):
     if hit is not MISSING:
         return hit
     budget.charge()
-    if inherited is None and G.euler_characteristic() != 1:
-        result = False
-    elif G.dominating_point() is not None:
+    if G.dominating_point() is not None:
         result = True
+    elif inherited is None and G.euler_characteristic() != 1:
+        result = False
     else:
         simple, stale = inherited or (0, (1 << n) - 1)
         for i in _bits(stale):
@@ -113,14 +117,6 @@ def _contractible_steps(G: DigitalSpace, inherited, budget: Budget):
                     break
     _CONTRACTIBLE.put(G, result)
     return result
-
-
-def _bits(mask: int):
-    """Indices of the set bits of mask, lowest first (point order)."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def is_simple_point(G: DigitalSpace, v: str, budget: Budget | None = None) -> bool:

@@ -7,15 +7,17 @@ this package (contractibility, spheres, manifolds) is defined in terms
 of rims, balls and the join construction, so those are first-class
 operations here.
 
-DigitalSpace is immutable: every operation returns a new space.  Points
-are identified by ids matching [A-Za-z0-9_]+ and kept sorted; adjacency
-is stored as one integer bitmask row per point, which keeps the small
-dense graphs this library targets fast without any third-party code.
+DigitalSpace is immutable: every operation returns a new space.  It
+holds only its sorted point ids (matching [A-Za-z0-9_]+, found by
+bisection), one integer bitmask row per point and a cache.  The row
+kernel shared by canon, homotopy and classify lives here too: _drop,
+_gap, _bits, _reach and _reindex.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -30,6 +32,51 @@ DEFAULT_CLIQUE_LIMIT = 10_000_000
 def _drop(mask: int, i: int) -> int:
     """mask over a space's points, re-indexed for the space without point i."""
     return mask & ((1 << i) - 1) | mask >> (i + 1) << i
+
+
+def _gap(mask: int, i: int) -> int:
+    """Inverse of _drop: mask re-indexed around a new point i, left out."""
+    return mask & ((1 << i) - 1) | mask >> i << (i + 1)
+
+
+def _bits(mask: int):
+    """Indices of the set bits of mask, lowest first (point order)."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _reach(rows: Sequence[int], start: int, within: int) -> int:
+    """Points of within that a path inside within joins to start, a
+    subset of within."""
+    seen = frontier = start
+    while frontier:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= rows[low.bit_length() - 1]
+            frontier ^= low
+        reach &= within
+        frontier = reach & ~seen
+        seen |= reach
+    return seen
+
+
+def _reindex(rows: Sequence[int], order: Sequence[int], within: int) -> list[int]:
+    """Rows of order[0], order[1], ... renamed 0, 1, ...; within is the
+    mask of order's points."""
+    position = {v: p for p, v in enumerate(order)}
+    out = []
+    for v in order:
+        row = rows[v] & within
+        new_row = 0
+        while row:
+            low = row & -row
+            new_row |= 1 << position[low.bit_length() - 1]
+            row ^= low
+        out.append(new_row)
+    return out
 
 
 def is_valid_point_id(point_id: object) -> bool:
@@ -57,16 +104,13 @@ class CliqueVector:
 
     def euler_characteristic(self) -> int:
         # Alternating sum over the clique complex: f0 - f1 + f2 - ...
-        chi = 0
-        for k, count in enumerate(self.counts):
-            chi += count if k % 2 == 0 else -count
-        return chi
+        return sum(self.counts[::2]) - sum(self.counts[1::2])
 
 
 class DigitalSpace:
     """An immutable finite simple graph with named points."""
 
-    __slots__ = ("_ids", "_index", "_rows", "_cache")
+    __slots__ = ("_ids", "_rows", "_cache")
 
     def __init__(
         self,
@@ -96,7 +140,6 @@ class DigitalSpace:
             rows[i] |= 1 << j
             rows[j] |= 1 << i
         self._ids = tuple(ids)
-        self._index = index
         self._rows = tuple(rows)
         self._cache: dict = {}
 
@@ -107,7 +150,6 @@ class DigitalSpace:
         """Internal: build from presorted ids and bitmask rows, unchecked."""
         space = cls.__new__(cls)
         space._ids = tuple(ids)
-        space._index = {pid: i for i, pid in enumerate(space._ids)}
         space._rows = tuple(rows)
         space._cache = {}
         return space
@@ -125,7 +167,7 @@ class DigitalSpace:
         return iter(self._ids)
 
     def __contains__(self, point_id: object) -> bool:
-        return point_id in self._index
+        return self._find(point_id) >= 0
 
     def adjacent(self, p: str, q: str) -> bool:
         i = self._require(p)
@@ -170,11 +212,16 @@ class DigitalSpace:
 
     # -- internal bit plumbing ----------------------------------------------
 
+    def _find(self, point_id: object) -> int:
+        """Index of point_id, or -1 when it is not a point."""
+        i = bisect_left(self._ids, point_id) if isinstance(point_id, str) else 0
+        return i if i < len(self._ids) and self._ids[i] == point_id else -1
+
     def _require(self, point_id: str) -> int:
-        try:
-            return self._index[point_id]
-        except KeyError:
-            raise ValueError(f"no such point: {point_id!r}") from None
+        i = self._find(point_id)
+        if i < 0:
+            raise ValueError(f"no such point: {point_id!r}")
+        return i
 
     def _ids_of(self, mask: int) -> tuple[str, ...]:
         out = []
@@ -191,24 +238,10 @@ class DigitalSpace:
         return mask
 
     def _induced_by_mask(self, mask: int) -> "DigitalSpace":
-        kept = []
-        m = mask
-        while m:
-            i = (m & -m).bit_length() - 1
-            m &= m - 1
-            kept.append(i)
-        ids = [self._ids[i] for i in kept]
-        position = {i: k for k, i in enumerate(kept)}
-        rows = []
-        for i in kept:
-            sub = self._rows[i] & mask
-            new_row = 0
-            while sub:
-                j = (sub & -sub).bit_length() - 1
-                sub &= sub - 1
-                new_row |= 1 << position[j]
-            rows.append(new_row)
-        return DigitalSpace._from_rows(ids, rows)
+        kept = list(_bits(mask))
+        return DigitalSpace._from_rows(
+            [self._ids[i] for i in kept], _reindex(self._rows, kept, mask)
+        )
 
     # -- subspaces and digital neighbourhoods ---------------------------------
 
@@ -250,28 +283,16 @@ class DigitalSpace:
     def add_point(self, point_id: str, neighbors: Iterable[str] = ()) -> "DigitalSpace":
         if not is_valid_point_id(point_id):
             raise ValueError(f"invalid point id: {point_id!r}")
-        if point_id in self._index:
+        if point_id in self:
             raise ValueError(f"point already present: {point_id!r}")
         nbr_mask = self._mask_of(neighbors)
-        ids = sorted(self._ids + (point_id,))
-        pos = ids.index(point_id)
-        # remap old indices around the insertion position
-        rows = []
-        for i, row in enumerate(self._rows):
-            low = row & ((1 << pos) - 1) if pos else 0
-            high = (row >> pos) << (pos + 1)
-            new_row = low | high
-            if nbr_mask >> i & 1:
-                new_row |= 1 << pos
-            rows.append(new_row)
-        new_row = 0
-        m = nbr_mask
-        while m:
-            i = (m & -m).bit_length() - 1
-            m &= m - 1
-            shifted = i if i < pos else i + 1
-            new_row |= 1 << shifted
-        rows.insert(pos, new_row)
+        pos = bisect_left(self._ids, point_id)
+        rows = [
+            _gap(row, pos) | (nbr_mask >> i & 1) << pos
+            for i, row in enumerate(self._rows)
+        ]
+        rows.insert(pos, _gap(nbr_mask, pos))
+        ids = self._ids[:pos] + (point_id,) + self._ids[pos:]
         return DigitalSpace._from_rows(ids, rows)
 
     def add_edge(self, p: str, q: str) -> "DigitalSpace":
@@ -316,38 +337,22 @@ class DigitalSpace:
     def fresh_id(self, stem: str = "z") -> str:
         """Smallest stem<k> id not already used by this space."""
         k = 0
-        while f"{stem}{k}" in self._index:
+        while f"{stem}{k}" in self:
             k += 1
         return f"{stem}{k}"
 
     # -- global structure ------------------------------------------------------
 
-    def _reach(self, start: int) -> int:
-        """Bitmask of every point joined by a path to a point of start."""
-        seen = frontier = start
-        while frontier:
-            reach = 0
-            f = frontier
-            while f:
-                i = (f & -f).bit_length() - 1
-                f &= f - 1
-                reach |= self._rows[i]
-            frontier = reach & ~seen
-            seen |= reach
-        return seen
-
     def is_connected(self) -> bool:
         """True for the empty and one-point spaces and for connected graphs."""
-        n = len(self._ids)
-        if n <= 1:
-            return True
-        return self._reach(1) == (1 << n) - 1
+        full = (1 << len(self._ids)) - 1
+        return full <= 1 or _reach(self._rows, 1, full) == full
 
     def connected_components(self) -> tuple[tuple[str, ...], ...]:
-        unvisited = (1 << len(self._ids)) - 1
+        unvisited = full = (1 << len(self._ids)) - 1
         comps = []
         while unvisited:
-            seen = self._reach(unvisited & -unvisited)
+            seen = _reach(self._rows, unvisited & -unvisited, full)
             comps.append(self._ids_of(seen))
             unvisited &= ~seen
         return tuple(comps)
@@ -366,43 +371,36 @@ class DigitalSpace:
     def clique_vector(self) -> CliqueVector:
         """Count cliques of every size.
 
-        Enumerates cliques as increasing index sequences, so each clique
-        is visited exactly once.  Exceeding DEFAULT_CLIQUE_LIMIT cliques
-        raises via the budget machinery; the cap exists because clique
-        counts can grow exponentially in pathological inputs.
+        Enumerates cliques as increasing index sequences on a stack, so
+        each clique is visited once and none needs recursion.  Exceeding
+        DEFAULT_CLIQUE_LIMIT cliques raises via the budget machinery; the
+        cap exists because clique counts can grow exponentially.
         """
         if "cliques" in self._cache:
             return self._cache["cliques"]
         rows = self._rows
-        n = len(self._ids)
         counts: list[int] = []
         budget = Budget(DEFAULT_CLIQUE_LIMIT)
-
-        def bump(size: int) -> None:
-            while len(counts) < size:
+        stack = [(0, (1 << len(rows)) - 1)] if rows else []
+        while stack:
+            size, cand = stack.pop()
+            if size == len(counts):
                 counts.append(0)
-            counts[size - 1] += 1
-
-        def extend(size: int, candidates: int) -> None:
-            cand = candidates
             while cand:
-                i = (cand & -cand).bit_length() - 1
-                cand &= cand - 1
+                low = cand & -cand
+                cand ^= low
                 budget.charge()
-                bump(size + 1)
-                extend(size + 1, cand & rows[i])
-
-        if n:
-            extend(0, (1 << n) - 1)
+                counts[size] += 1
+                grown = cand & rows[low.bit_length() - 1]
+                if grown:
+                    stack.append((size + 1, grown))
         vec = CliqueVector(tuple(counts))
         self._cache["cliques"] = vec
         return vec
 
     def euler_characteristic(self) -> int:
         """Euler characteristic of the clique complex of this space."""
-        if "euler" not in self._cache:
-            self._cache["euler"] = self.clique_vector().euler_characteristic()
-        return self._cache["euler"]
+        return self.clique_vector().euler_characteristic()
 
 
 def join(left: DigitalSpace, right: DigitalSpace) -> DigitalSpace:

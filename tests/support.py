@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import os
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import digitop
 from digitop import (
@@ -21,7 +22,7 @@ from digitop import (
 )
 from digitop.budget import Budget, ensure_budget
 from digitop.cache import MISSING
-from digitop.classify import _has_clique, _rim_extends_to_cycle
+from digitop.classify import _has_clique
 from digitop.canon import (
     _Orbits,
     _refine,
@@ -37,6 +38,7 @@ from digitop.recognition import (
     recognize_disk,
     require_closed_manifold,
 )
+from digitop.space import DEFAULT_CLIQUE_LIMIT, CliqueVector, is_valid_point_id
 from digitop.transform import CompressionCheck, CompressionVerdict
 
 # -- builders ----------------------------------------------------------------------
@@ -207,7 +209,7 @@ def _reference_prune(rows: list[int], n: int, remaining: int) -> bool:
         return True
     if n == 2:
         for v in range(size):
-            if not _rim_extends_to_cycle(rows, v):
+            if not reference_rim_extends_to_cycle(rows, v):
                 return True
         for v in range(size):
             row = rows[v]
@@ -218,6 +220,151 @@ def _reference_prune(rows: list[int], n: int, remaining: int) -> bool:
                 if u > v and (row & rows[u]).bit_count() > 2:
                     return True
     return False
+
+
+# -- row code before the shared kernel ---------------------------------------------
+
+# The row-level code as it was before space.py held one kernel for it,
+# copied verbatim.  The methods take the space as self; add_point asks
+# the space, not its removed id index, for a duplicate, and
+# clique_vector skips the space's cache.
+
+
+def reference_rim_extends_to_cycle(rows: list[int], v: int) -> bool:
+    """Can the rim of v still become an induced cycle of length >= 4?
+
+    Inside a closed 2-manifold every rim is such a cycle; any induced
+    subgraph of it is a disjoint union of paths or the full cycle.
+    """
+    members = []
+    mask = rows[v]
+    m = mask
+    while m:
+        u = (m & -m).bit_length() - 1
+        m &= m - 1
+        members.append(u)
+    degrees = {u: (rows[u] & mask).bit_count() for u in members}
+    if any(d > 2 for d in degrees.values()):
+        return False
+    edge_count = sum(degrees.values()) // 2
+    components = 0
+    seen: set[int] = set()
+    for start in members:
+        if start in seen:
+            continue
+        components += 1
+        seen.add(start)
+        frontier = [start]
+        while frontier:
+            u = frontier.pop()
+            nbrs = rows[u] & mask
+            while nbrs:
+                w = (nbrs & -nbrs).bit_length() - 1
+                nbrs &= nbrs - 1
+                if w not in seen:
+                    seen.add(w)
+                    frontier.append(w)
+    if edge_count == len(members) - components:
+        return True  # disjoint union of paths, can still grow
+    # some component closed into a cycle, which is only legal when the
+    # cycle is the entire rim and has length >= 4
+    return components == 1 and edge_count == len(members) >= 4
+
+
+def reference_encode_order(rows: Sequence[int], order: Sequence[int]) -> tuple[int, ...]:
+    """Adjacency rows after relabeling point order[p] to p."""
+    position = {v: p for p, v in enumerate(order)}
+    encoded = []
+    for v in order:
+        row = rows[v]
+        new_row = 0
+        while row:
+            u = (row & -row).bit_length() - 1
+            row &= row - 1
+            new_row |= 1 << position[u]
+        encoded.append(new_row)
+    return tuple(encoded)
+
+
+def reference_induced_by_mask(self, mask: int) -> "DigitalSpace":
+    kept = []
+    m = mask
+    while m:
+        i = (m & -m).bit_length() - 1
+        m &= m - 1
+        kept.append(i)
+    ids = [self._ids[i] for i in kept]
+    position = {i: k for k, i in enumerate(kept)}
+    rows = []
+    for i in kept:
+        sub = self._rows[i] & mask
+        new_row = 0
+        while sub:
+            j = (sub & -sub).bit_length() - 1
+            sub &= sub - 1
+            new_row |= 1 << position[j]
+        rows.append(new_row)
+    return DigitalSpace._from_rows(ids, rows)
+
+
+def reference_add_point(self, point_id: str, neighbors: Iterable[str] = ()) -> "DigitalSpace":
+    if not is_valid_point_id(point_id):
+        raise ValueError(f"invalid point id: {point_id!r}")
+    if point_id in self:
+        raise ValueError(f"point already present: {point_id!r}")
+    nbr_mask = self._mask_of(neighbors)
+    ids = sorted(self._ids + (point_id,))
+    pos = ids.index(point_id)
+    # remap old indices around the insertion position
+    rows = []
+    for i, row in enumerate(self._rows):
+        low = row & ((1 << pos) - 1) if pos else 0
+        high = (row >> pos) << (pos + 1)
+        new_row = low | high
+        if nbr_mask >> i & 1:
+            new_row |= 1 << pos
+        rows.append(new_row)
+    new_row = 0
+    m = nbr_mask
+    while m:
+        i = (m & -m).bit_length() - 1
+        m &= m - 1
+        shifted = i if i < pos else i + 1
+        new_row |= 1 << shifted
+    rows.insert(pos, new_row)
+    return DigitalSpace._from_rows(ids, rows)
+
+
+def reference_clique_vector(self) -> CliqueVector:
+    """Count cliques of every size.
+
+    Enumerates cliques as increasing index sequences, so each clique
+    is visited exactly once.  Exceeding DEFAULT_CLIQUE_LIMIT cliques
+    raises via the budget machinery; the cap exists because clique
+    counts can grow exponentially in pathological inputs.
+    """
+    rows = self._rows
+    n = len(self._ids)
+    counts: list[int] = []
+    budget = Budget(DEFAULT_CLIQUE_LIMIT)
+
+    def bump(size: int) -> None:
+        while len(counts) < size:
+            counts.append(0)
+        counts[size - 1] += 1
+
+    def extend(size: int, candidates: int) -> None:
+        cand = candidates
+        while cand:
+            i = (cand & -cand).bit_length() - 1
+            cand &= cand - 1
+            budget.charge()
+            bump(size + 1)
+            extend(size + 1, cand & rows[i])
+
+    if n:
+        extend(0, (1 << n) - 1)
+    return CliqueVector(tuple(counts))
 
 
 # -- round-based partition refinement -----------------------------------------------

@@ -22,7 +22,11 @@ from digitop import (
     r_transform,
     torus16,
 )
-from digitop.classify import _augmentations, _grown_connected_graphs
+from digitop.classify import (
+    _augmentations,
+    _grown_connected_graphs,
+    _rim_extends_to_cycle,
+)
 
 
 def test_complexity_values():
@@ -131,6 +135,14 @@ def test_augmentation_search_needs_no_recursion():
         sys.setrecursionlimit(limit)
     # attaching to the last end mirrors attaching to the first
     assert [candidate[-1] for candidate in grown] == [1, 1 | 1 << size - 1]
+
+
+def test_rim_check_matches_the_reference():
+    for rows in support.all_connected_rows(7):
+        rows = list(rows)
+        for v in range(len(rows)):
+            expected = support.reference_rim_extends_to_cycle(rows, v)
+            assert _rim_extends_to_cycle(rows, v) == expected, (rows, v)
 
 
 def test_catalog_validation():

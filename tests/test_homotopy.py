@@ -233,6 +233,16 @@ def test_cones_and_joins_are_contractible():
             assert is_contractible(join(sphere, G))
 
 
+@pytest.mark.parametrize("n", [60, 200])
+def test_complete_graph_is_answered_as_a_cone(cold_memo, n):
+    # complete(n) has 2^n - 1 cliques: the cone prune must answer before chi
+    K = support.complete(n)
+    budget = Budget()
+    assert is_contractible(K, budget)
+    assert budget.spent == 1
+    assert "cliques" not in K._cache
+
+
 def test_sphere_minus_contractible_subspace():
     """Removing a contractible induced subspace from a minimal sphere leaves
     a contractible space with the punctured Euler characteristic."""

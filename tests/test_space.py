@@ -7,7 +7,16 @@ import random
 import pytest
 
 import support
-from digitop import BudgetExceeded, DigitalSpace, join, minimal_sphere, space, torus16
+from digitop import (
+    BudgetExceeded,
+    DigitalSpace,
+    join,
+    minimal_sphere,
+    projective_plane11,
+    r_transform,
+    space,
+    torus16,
+)
 
 
 def test_points_are_sorted_and_validated():
@@ -34,6 +43,29 @@ def test_basic_queries():
     assert "c0" in G and "nope" not in G
     with pytest.raises(ValueError):
         G.neighbors("nope")
+    # ids are found by bisection: before the first, between, after the last
+    for missing in ("a", "c", "c00", "c10", "c4", "d"):
+        assert missing not in G
+        with pytest.raises(ValueError):
+            G.degree(missing)
+    assert all(G.degree(p) == 2 for p in G.points)
+    # prefix pairs sort next to each other
+    P = DigitalSpace(["p1", "p10", "p2"], [("p1", "p10")])
+    assert "p1" in P and "p10" in P and "p" not in P and "p11" not in P
+    assert P.neighbors("p10") == ("p1",) and P.neighbors("p2") == ()
+    assert P.adjacent("p1", "p10") and not P.adjacent("p10", "p2")
+    # the empty space has no points
+    E = DigitalSpace()
+    assert "a" not in E and "" not in E and 5 not in E
+    with pytest.raises(ValueError):
+        E.rim("a")
+    # non-str ids are never points, and looking one up is a ValueError
+    for bad in (5, None, ("c0",), b"c0"):
+        assert bad not in G
+    with pytest.raises(ValueError, match="no such point: 5"):
+        G.rim(5)
+    with pytest.raises(ValueError, match="no such point: None"):
+        G.neighbors(None)
 
 
 def test_equality_ignores_caches():
@@ -101,6 +133,17 @@ def test_add_and_remove():
     assert len(G) == 2  # immutable
     with pytest.raises(ValueError):
         G.add_point("a")
+    with pytest.raises(ValueError, match="point already present: 'b'"):
+        H.add_point("b", ["c"])
+    with pytest.raises(ValueError, match="no such point"):
+        G.add_point("c", ["zz"])
+    # a new point lands before, between or after the sorted ids
+    for pid, position in (("A", 0), ("aa", 1), ("bb", 2)):
+        K = G.add_point(pid, ["b"])
+        assert K.points.index(pid) == position
+        assert K.neighbors(pid) == ("b",) and K.adjacent("a", "b")
+        assert set(K.neighbors("b")) == {"a", pid}
+    assert DigitalSpace().add_point("x").points == ("x",)
     with pytest.raises(ValueError):
         G.add_edge("a", "b")
     with pytest.raises(ValueError):
@@ -125,6 +168,11 @@ def test_fresh_id_avoids_collisions():
     G = DigitalSpace(["z0", "z1"])
     assert G.fresh_id() == "z2"
     assert G.fresh_id("z1") not in G
+    assert DigitalSpace().fresh_id() == "z0"
+    assert DigitalSpace(["z0", "z2"]).fresh_id() == "z1"
+    # z1 and z10 are a prefix pair; z10 is taken, so stem z1 goes on to z11
+    assert DigitalSpace(["z1", "z10"]).fresh_id("z1") == "z11"
+    assert DigitalSpace(["a", "y", "zz"]).fresh_id() == "z0"
 
 
 def test_connectivity():
@@ -166,6 +214,18 @@ def test_clique_budget_cap(monkeypatch):
         big.clique_vector()
 
 
+def test_deep_clique_walk_runs_out_of_budget_not_stack(monkeypatch):
+    # a 1,100-point clique is deeper than the default recursion limit
+    monkeypatch.setattr(space, "DEFAULT_CLIQUE_LIMIT", 5_000)
+    n = 1_100
+    full = (1 << n) - 1
+    big = DigitalSpace._from_rows(
+        [f"k{i:04d}" for i in range(n)], [full ^ 1 << i for i in range(n)]
+    )
+    with pytest.raises(BudgetExceeded):
+        big.clique_vector()
+
+
 def test_euler_examples():
     assert DigitalSpace(["a"]).euler_characteristic() == 1
     assert support.cycle(4).euler_characteristic() == 0
@@ -188,3 +248,52 @@ def test_minimal_sphere_euler():
     # chi(S^n) alternates: 2 for even n, 0 for odd n
     for n in range(6):
         assert minimal_sphere(n).euler_characteristic() == (2 if n % 2 == 0 else 0)
+
+
+# -- the row kernel against the code it replaced ------------------------------------
+
+
+def _grown_manifolds():
+    rng = random.Random(9)
+    for M in (torus16(), minimal_sphere(2), minimal_sphere(3), projective_plane11()):
+        for _ in range(6):
+            M = r_transform(M, *rng.choice(M.edges))
+        yield M
+
+
+def test_reindex_matches_the_encode_order_reference():
+    rng = random.Random(5)
+    for rows in support.all_connected_rows(7):
+        order = list(range(len(rows)))
+        for _ in range(3):
+            rng.shuffle(order)
+            full = (1 << len(rows)) - 1
+            assert space._reindex(rows, order, full) == list(
+                support.reference_encode_order(rows, order)
+            )
+
+
+def test_induced_subspace_and_add_point_match_the_references():
+    rng = random.Random(6)
+    for M in _grown_manifolds():
+        n = len(M)
+        for _ in range(40):
+            mask = rng.getrandbits(n)
+            chosen = [p for i, p in enumerate(M.points) if mask >> i & 1]
+            sub = M.induced_subspace(chosen)
+            ref = support.reference_induced_by_mask(M, mask)
+            assert (sub.points, sub._rows) == (ref.points, ref._rows)
+        for pid in ("a0", "p0b", "v05x", "z", "zz9", M.fresh_id(), M.fresh_id("p")):
+            if pid in M:
+                continue
+            nbrs = rng.sample(M.points, rng.randint(0, n))
+            grown = M.add_point(pid, nbrs)
+            ref = support.reference_add_point(M, pid, nbrs)
+            assert (grown.points, grown._rows) == (ref.points, ref._rows)
+
+
+def test_clique_vector_matches_the_recursive_reference():
+    spaces = [support.space_from_rows(rows) for rows in support.all_connected_rows(7)]
+    spaces += [minimal_sphere(n) for n in range(8)]
+    for G in spaces:
+        assert G.clique_vector() == support.reference_clique_vector(G)
