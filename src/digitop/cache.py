@@ -21,7 +21,7 @@ its bucket under its encoding when its space was already canonized,
 and otherwise as rows, canonized lazily the first time a lookup lands
 in the bucket.  A bucket hit also records the looked-up rows in the
 exact tier.  Entries keep rows, not spaces: a stored space would keep
-its index and caches alive.  Equal rows and equal encodings both mean
+its point ids and caches alive.  Equal rows and equal encodings both mean
 isomorphic spaces, so hits and misses are exactly those of a table
 keyed by encoding.
 

@@ -10,9 +10,14 @@ catalog(n, N) enumerates the compressed closed n-manifolds with at most
 N points.  Connected graphs are grown one point at a time: a search over
 the new point's neighbourhood builds only the graphs that still meet
 necessary conditions for sitting inside an n-manifold of size <= N, one
-per orbit of the parent's discovered automorphisms.  Each size is
-deduplicated by canonical form, and the graphs are finally filtered by
-the recognizer and edge-compressedness.
+per orbit of the parent's discovered automorphisms.  As in McKay's
+canonical augmentation ("Isomorph-free exhaustive generation", J.
+Algorithms 26, 1998), a grown graph is kept only when its new point is
+designated, a label-invariant choice of the points it may have been
+grown from last, so most duplicates are dropped before any canonical
+search.  Each size is deduplicated by canonical form, and each class
+keeps its first designated copy; the graphs are finally filtered by the
+recognizer and edge-compressedness.
 """
 
 from __future__ import annotations
@@ -148,29 +153,66 @@ def _grown_connected_graphs(n: int, max_points: int, budget: Budget):
     """Connected graphs up to isomorphism, grown one point at a time.
 
     Each new point gets a nonempty neighbourhood, which reaches every
-    connected graph (delete a spanning-tree leaf to find the parent).
-    Only the neighbourhoods that _augmentations finds extendable into a
-    closed n-manifold with at most max_points points are canonized.
-    Each tier is yielded in encoding order, and each class keeps the
-    first labelled copy in parent order, then ascending mask order.
+    connected graph (delete a designated point, see _designated, to find
+    the parent).  Only the neighbourhoods that _augmentations finds
+    extendable into a closed n-manifold with at most max_points points,
+    and whose new point is designated, are canonized.  Each tier is
+    yielded in encoding order, and each class keeps its first designated
+    copy in parent order, then ascending mask order, together with the
+    automorphisms its canonical search found.
     """
-    tier: dict[bytes, list[int]] = {canonical_encoding_rows([0]): [0]}
+    # encoding -> (rows, the automorphisms its canonical search found)
+    tier = {canonical_encoding_rows([0]): ([0], ())}
     yield [0]
     for size in range(2, max_points + 1):
         remaining = max_points - size
-        next_tier: dict[bytes, list[int]] = {}
+        new = 1 << size - 1
+        next_tier = {}
         for enc in sorted(tier):
-            for candidate in _augmentations(tier[enc], n, remaining, budget):
-                key = canonical_encoding_rows(candidate)
+            rows, generators = tier[enc]
+            for candidate in _augmentations(rows, n, remaining, budget, generators):
+                if not _designated(candidate) & new:
+                    continue
+                key, _, found = canon._canonical(candidate)
                 if key not in next_tier:
-                    next_tier[key] = candidate
+                    next_tier[key] = (candidate, found)
         for enc in sorted(next_tier):
-            yield next_tier[enc]
+            yield next_tier[enc][0]
         tier = next_tier
 
 
+def _designated(rows: list[int]) -> int:
+    """The points of a connected graph that it may be grown from last.
+
+    A point is designated when deleting it leaves the graph connected and
+    no other such point has a larger key (degree, sorted neighbour
+    degrees).  The key reads no labels, so an isomorphism maps the
+    designated points onto the designated points, and they are never
+    none: a spanning tree's leaves can all be deleted.  So every class
+    is reached from the class of its graph minus a designated point, and
+    candidates whose new point is not designated are duplicates.
+    """
+    degrees = [row.bit_count() for row in rows]
+    full = (1 << len(rows)) - 1
+    for degree in sorted(set(degrees), reverse=True):
+        # the neighbour degrees of each deletable point of this degree
+        keys = {}
+        for v, row in enumerate(rows):
+            rest = full ^ 1 << v
+            if degrees[v] == degree and _reach(rows, rest & -rest, rest) == rest:
+                keys[v] = sorted(degrees[u] for u in _bits(row))
+        if keys:
+            best = max(keys.values())
+            return sum(1 << v for v, key in keys.items() if key == best)
+    return 0
+
+
 def _augmentations(
-    rows: list[int], n: int, remaining: int, budget: Budget
+    rows: list[int],
+    n: int,
+    remaining: int,
+    budget: Budget,
+    generators: tuple | None = None,
 ) -> list[list[int]]:
     """rows plus one new point, for each neighbourhood mask that may still
     extend to a closed n-manifold with remaining more points.
@@ -191,10 +233,11 @@ def _augmentations(
       degree exceeds 2, as on a cycle.
 
     For n = 2 a complete mask must also leave each changed rim able to
-    close into an induced cycle of length >= 4.  A surviving mask that a
-    discovered automorphism of rows maps to a smaller one is dropped: that
-    graph is isomorphic and comes first, so each class keeps its first
-    mask.
+    close into an induced cycle of length >= 4.  A surviving mask that an
+    automorphism of rows maps to a smaller one is dropped: that graph is
+    isomorphic and comes first, so each class keeps its first mask.  The
+    automorphisms are generators, those a canonical search of rows found;
+    when they are not given, rows is searched for them.
     """
     s = len(rows)
     floor = 2 * n - remaining
@@ -235,7 +278,8 @@ def _augmentations(
             continue
         kept.append((mask, candidate))
     if len(kept) > 1:
-        generators = canon._canonical(rows)[2]
+        if generators is None:
+            generators = canon._canonical(rows)[2]
         if generators:
             kept = [
                 (mask, candidate)

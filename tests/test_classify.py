@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import sys
 
 import pytest
@@ -22,11 +23,28 @@ from digitop import (
     r_transform,
     torus16,
 )
+from digitop import canon
+from digitop.canon import canonical_encoding_rows
 from digitop.classify import (
     _augmentations,
+    _designated,
     _grown_connected_graphs,
     _rim_extends_to_cycle,
 )
+
+
+def _connected(rows, points) -> bool:
+    """Are the given points of rows joined inside themselves? (plain DFS)"""
+    points = set(points)
+    if not points:
+        return True
+    seen, todo = set(), [min(points)]
+    while todo:
+        v = todo.pop()
+        if v not in seen:
+            seen.add(v)
+            todo.extend(u for u in points if rows[v] >> u & 1)
+    return seen == points
 
 
 def test_complexity_values():
@@ -110,14 +128,60 @@ def test_catalog_budget_exhaustion_is_flagged_not_raised():
     assert not cat.exhaustive
 
 
-@pytest.mark.parametrize("n, max_points", [(1, 12), (2, 8), (3, 9), (4, 11)])
+@pytest.mark.parametrize(
+    "n, max_points", [(1, 12), (2, 8), (2, 9), (3, 9), (4, 11)]
+)
 def test_catalog_growth_matches_the_full_mask_loop(n, max_points):
-    """The neighbourhood search yields the tiers of the loop over all 2^s
-    masks with the whole-graph prune: the same labelled graphs, in the
-    same order."""
+    """The neighbourhood search yields the classes of the loop over all
+    2^s masks with the whole-graph prune: per tier, the same canonical
+    encodings in the same order, each as a connected graph of the tier's
+    size.  Which labelled copy stands for a class may differ."""
     grown = list(_grown_connected_graphs(n, max_points, Budget(None)))
     reference = support.reference_grown_connected_graphs(n, max_points, Budget(None))
-    assert grown == list(reference)
+    assert [(len(rows), canonical_encoding_rows(rows)) for rows in grown] == [
+        (len(rows), canonical_encoding_rows(rows)) for rows in reference
+    ]
+    for rows in grown:
+        assert _connected(rows, range(len(rows))), rows
+
+
+def test_catalog_growth_reuses_the_tier_generators(monkeypatch):
+    """Each parent's automorphisms come from the search that keyed it, so
+    the augmentation step never runs a canonical search of its own."""
+    searched = canon._canonical
+    from_augmentations = []
+
+    def counted(rows):
+        if sys._getframe(1).f_code.co_name == "_augmentations":
+            from_augmentations.append(rows)
+        return searched(rows)
+
+    monkeypatch.setattr(canon, "_canonical", counted)
+    assert catalog(2, 9).exhaustive
+    assert from_augmentations == []
+
+
+def test_designated_points_are_label_invariant():
+    """The designated mask is nonempty, holds only points whose deletion
+    leaves the graph connected, and follows every relabeling."""
+    rng = random.Random(10)
+    for rows in support.all_connected_rows(7):
+        mask = _designated(list(rows))
+        assert mask, rows
+        for v in range(len(rows)):
+            if mask >> v & 1:
+                rest = [u for u in range(len(rows)) if u != v]
+                assert _connected(rows, rest), (rows, v)
+        for _ in range(3):
+            perm = list(range(len(rows)))
+            rng.shuffle(perm)
+            relabeled = [0] * len(rows)
+            for v, row in enumerate(rows):
+                relabeled[perm[v]] = sum(
+                    1 << perm[u] for u in range(len(rows)) if row >> u & 1
+                )
+            image = sum(1 << perm[v] for v in range(len(rows)) if mask >> v & 1)
+            assert _designated(relabeled) == image, (rows, perm)
 
 
 def test_augmentation_search_needs_no_recursion():
