@@ -9,15 +9,15 @@ form plus Euler characteristic).
 catalog(n, N) enumerates the compressed closed n-manifolds with at most
 N points.  Connected graphs are grown one point at a time: a search over
 the new point's neighbourhood builds only the graphs that still meet
-necessary conditions for sitting inside an n-manifold of size <= N, one
-per orbit of the parent's discovered automorphisms.  As in McKay's
-canonical augmentation ("Isomorph-free exhaustive generation", J.
-Algorithms 26, 1998), a grown graph is kept only when its new point is
-designated, a label-invariant choice of the points it may have been
-grown from last, so most duplicates are dropped before any canonical
-search.  Each size is deduplicated by canonical form, and each class
-keeps its first designated copy; the graphs are finally filtered by the
-recognizer and edge-compressedness.
+necessary conditions for sitting inside an n-manifold of size <= N (see
+_augmentations), one per orbit of the parent's discovered automorphisms.
+As in McKay's canonical augmentation ("Isomorph-free exhaustive
+generation", J. Algorithms 26, 1998), a grown graph is kept only when
+its new point is designated, a label-invariant choice of the points it
+may have been grown from last, so most duplicates are dropped before any
+canonical search.  Each size is deduplicated by canonical form, and each
+class keeps its first designated copy; the graphs are finally filtered
+by the recognizer and edge-compressedness.
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ def classification_report(
 
 # -- catalog generation ----------------------------------------------------------
 
-# catalog(2, 10) is exhaustive after about 540k nodes of this budget
+# catalog(2, 10) is exhaustive after about 494k nodes of this budget
 DEFAULT_CATALOG_BUDGET = 4_000_000
 
 
@@ -153,8 +153,8 @@ def _grown_connected_graphs(n: int, max_points: int, budget: Budget):
     """Connected graphs up to isomorphism, grown one point at a time.
 
     Each new point gets a nonempty neighbourhood, which reaches every
-    connected graph (delete a designated point, see _designated, to find
-    the parent).  Only the neighbourhoods that _augmentations finds
+    connected graph (delete a designated point, see _new_point_designated,
+    to find the parent).  Only the neighbourhoods that _augmentations finds
     extendable into a closed n-manifold with at most max_points points,
     and whose new point is designated, are canonized.  Each tier is
     yielded in encoding order, and each class keeps its first designated
@@ -166,12 +166,11 @@ def _grown_connected_graphs(n: int, max_points: int, budget: Budget):
     yield [0]
     for size in range(2, max_points + 1):
         remaining = max_points - size
-        new = 1 << size - 1
         next_tier = {}
         for enc in sorted(tier):
             rows, generators = tier[enc]
             for candidate in _augmentations(rows, n, remaining, budget, generators):
-                if not _designated(candidate) & new:
+                if not _new_point_designated(candidate):
                     continue
                 key, _, found = canon._canonical(candidate)
                 if key not in next_tier:
@@ -181,8 +180,9 @@ def _grown_connected_graphs(n: int, max_points: int, budget: Budget):
         tier = next_tier
 
 
-def _designated(rows: list[int]) -> int:
-    """The points of a connected graph that it may be grown from last.
+def _new_point_designated(rows: list[int]) -> bool:
+    """Is the last point of a connected graph, whose deletion leaves it
+    connected, one that it may be grown from last?
 
     A point is designated when deleting it leaves the graph connected and
     no other such point has a larger key (degree, sorted neighbour
@@ -190,21 +190,21 @@ def _designated(rows: list[int]) -> int:
     designated points onto the designated points, and they are never
     none: a spanning tree's leaves can all be deleted.  So every class
     is reached from the class of its graph minus a designated point, and
-    candidates whose new point is not designated are duplicates.
+    candidates whose new point is not designated are duplicates.  Only
+    the points whose key beats the last point's are tested for deletion.
     """
     degrees = [row.bit_count() for row in rows]
-    full = (1 << len(rows)) - 1
-    for degree in sorted(set(degrees), reverse=True):
-        # the neighbour degrees of each deletable point of this degree
-        keys = {}
-        for v, row in enumerate(rows):
+    last = len(rows) - 1
+    def key(v: int) -> tuple[int, list[int]]:
+        return degrees[v], sorted(degrees[u] for u in _bits(rows[v]))
+    own = key(last)
+    full = (1 << last + 1) - 1
+    for v in range(last):
+        if degrees[v] > own[0] or degrees[v] == own[0] and key(v) > own:
             rest = full ^ 1 << v
-            if degrees[v] == degree and _reach(rows, rest & -rest, rest) == rest:
-                keys[v] = sorted(degrees[u] for u in _bits(row))
-        if keys:
-            best = max(keys.values())
-            return sum(1 << v for v, key in keys.items() if key == best)
-    return 0
+            if _reach(rows, rest & -rest, rest) == rest:
+                return False
+    return True
 
 
 def _augmentations(
@@ -228,16 +228,18 @@ def _augmentations(
       come adds at most one neighbour: a point below that floor must join,
       and the new point needs that many neighbours;
     * n = 1: no degree exceeds 2;
-    * otherwise the mask (the new point's rim) holds no (n+1)-clique;
-    * n = 2: in each changed rim, the mask's and those of its points, no
-      degree exceeds 2, as on a cycle.
+    * n >= 3: the mask (the new point's rim) holds no (n+1)-clique;
+    * n = 2: each changed rim, the mask's and those of its points, stays
+      disjoint paths or closes into one induced cycle of length >= 4, as
+      in a closed 2-manifold: a point whose rim is a cycle never joins,
+      and a join that links two ends of one path must close the whole
+      rim; once the mask closes, no lower point joins.
 
-    For n = 2 a complete mask must also leave each changed rim able to
-    close into an induced cycle of length >= 4.  A surviving mask that an
-    automorphism of rows maps to a smaller one is dropped: that graph is
-    isomorphic and comes first, so each class keeps its first mask.  The
-    automorphisms are generators, those a canonical search of rows found;
-    when they are not given, rows is searched for them.
+    A surviving mask that an automorphism of rows maps to a smaller one
+    is dropped: that graph is isomorphic and comes first, so each class
+    keeps its first mask.  The automorphisms are generators, those a
+    canonical search of rows found; when they are not given, rows is
+    searched for them.
     """
     s = len(rows)
     floor = 2 * n - remaining
@@ -251,7 +253,11 @@ def _augmentations(
             forced |= 1 << v
         if n == 1 and degree == 2:
             allowed ^= 1 << v
-    if s < floor:
+        if n == 2 and row and all(
+            (rows[u] & row).bit_count() > 1 for u in _bits(row)
+        ):
+            allowed ^= 1 << v  # its rim is a cycle already
+    if s < floor or forced & ~allowed:
         return []
     kept: list[tuple[int, list[int]]] = []
     new = 1 << s
@@ -263,20 +269,19 @@ def _augmentations(
         if k:
             k -= 1
             bit = 1 << k
-            if allowed & bit and _may_join(rows, n, k, mask):
+            join = _may_join(rows, n, k, mask) if allowed & bit else 0
+            if join == 2:
+                # the mask closed into a cycle: every lower bit stays out
+                if not forced & bit - 1:
+                    stack.append((0, mask | bit))
+            elif join:
                 stack.append((k, mask | bit))
             if not forced & bit and mask.bit_count() + k >= floor:
                 stack.append((k, mask))
             continue
-        if not mask:
-            continue
-        candidate = [row | new if mask >> i & 1 else row for i, row in enumerate(rows)]
-        candidate.append(mask)
-        if n == 2 and not all(
-            _rim_extends_to_cycle(candidate, v) for v in _bits(mask | new)
-        ):
-            continue
-        kept.append((mask, candidate))
+        if mask:
+            grown = [row | new if mask >> i & 1 else row for i, row in enumerate(rows)]
+            kept.append((mask, grown + [mask]))
     if len(kept) > 1:
         if generators is None:
             generators = canon._canonical(rows)[2]
@@ -291,19 +296,35 @@ def _augmentations(
     return [candidate for _, candidate in kept]
 
 
-def _may_join(rows: list[int], n: int, v: int, mask: int) -> bool:
-    """Can point v join the partial mask without failing a cut above?"""
+def _may_join(rows: list[int], n: int, v: int, mask: int) -> int:
+    """Can point v join the partial mask without failing a cut above?  0
+    if not, 2 if it closes the mask into a cycle (n = 2), else 1."""
     if n == 1:
         return mask.bit_count() < 2
     common = rows[v] & mask
-    if n == 2:
-        if common.bit_count() > 2:
-            return False
-        grown = mask | 1 << v
-        for u in _bits(common):
-            if (rows[u] & grown).bit_count() > 2 or (rows[u] & rows[v]).bit_count() > 1:
-                return False
-    return not _has_clique(rows, common, n)
+    if n != 2:
+        return not _has_clique(rows, common, n)
+    grown = mask | 1 << v
+    for u in _bits(common | 1 << v):
+        # the new point's neighbours in the rims that v's join changes,
+        # and v's degree there, which the new point raises by one
+        ends = rows[u] & grown
+        if ends.bit_count() > 2 or u != v and (rows[u] & rows[v]).bit_count() > 1:
+            return 0
+        if ends.bit_count() == 2 and not _link(rows, ends, rows[u]):
+            return 0
+    return _link(rows, common, mask) if common.bit_count() == 2 else 1
+
+
+def _link(rows: list[int], ends: int, rim: int) -> int:
+    """The new point links the two path ends in ends: 1 when they lie on
+    different paths of rim, 2 when their path is all of rim, >= 3 points,
+    closing a cycle of length >= 4, else 0 (a shorter or partial cycle)."""
+    low = ends & -ends
+    path = _reach(rows, low, rim)
+    if not path & ends ^ low:
+        return 1
+    return 2 if path == rim and rim.bit_count() >= 3 else 0
 
 
 def _has_clique(rows: list[int], mask: int, k: int) -> bool:
@@ -316,27 +337,6 @@ def _has_clique(rows: list[int], mask: int, k: int) -> bool:
         if _has_clique(rows, mask & rows[v], k - 1):
             return True
     return False
-
-
-def _rim_extends_to_cycle(rows: list[int], v: int) -> bool:
-    """Can the rim of v still become an induced cycle of length >= 4?
-
-    Inside a closed 2-manifold every rim is such a cycle; any induced
-    subgraph of it is a disjoint union of paths or the full cycle.
-    """
-    rim = rows[v]
-    ends = 0  # points of rim degree < 2: every path component has one
-    for u in _bits(rim):
-        degree = (rows[u] & rim).bit_count()
-        if degree > 2:
-            return False
-        if degree < 2:
-            ends |= 1 << u
-    if _reach(rows, ends, rim) == rim:
-        return True  # disjoint union of paths, can still grow
-    # some component closed into a cycle, which is only legal when the
-    # cycle is the entire rim and has length >= 4
-    return not ends and rim.bit_count() >= 4 and _reach(rows, rim & -rim, rim) == rim
 
 
 def classify_against_catalog(

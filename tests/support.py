@@ -13,6 +13,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import digitop
+from digitop import canon
 from digitop import (
     DigitalSpace,
     NotSimpleError,
@@ -38,7 +39,13 @@ from digitop.recognition import (
     recognize_disk,
     require_closed_manifold,
 )
-from digitop.space import DEFAULT_CLIQUE_LIMIT, CliqueVector, is_valid_point_id
+from digitop.space import (
+    DEFAULT_CLIQUE_LIMIT,
+    CliqueVector,
+    _bits,
+    _reach,
+    is_valid_point_id,
+)
 from digitop.transform import CompressionCheck, CompressionVerdict
 
 # -- builders ----------------------------------------------------------------------
@@ -220,6 +227,159 @@ def _reference_prune(rows: list[int], n: int, remaining: int) -> bool:
                 if u > v and (row & rows[u]).bit_count() > 2:
                     return True
     return False
+
+
+# -- catalog growth before rims were decided in the search ----------------------
+
+# classify's augmentation step, its new-point filter and its leaf rim test
+# as they were when every changed rim was re-walked at each complete mask
+# and every top-degree deletable point was tested, copied verbatim.
+
+
+def reference_designated(rows: list[int]) -> int:
+    """The points of a connected graph that it may be grown from last.
+
+    A point is designated when deleting it leaves the graph connected and
+    no other such point has a larger key (degree, sorted neighbour
+    degrees).  The key reads no labels, so an isomorphism maps the
+    designated points onto the designated points, and they are never
+    none: a spanning tree's leaves can all be deleted.  So every class
+    is reached from the class of its graph minus a designated point, and
+    candidates whose new point is not designated are duplicates.
+    """
+    degrees = [row.bit_count() for row in rows]
+    full = (1 << len(rows)) - 1
+    for degree in sorted(set(degrees), reverse=True):
+        # the neighbour degrees of each deletable point of this degree
+        keys = {}
+        for v, row in enumerate(rows):
+            rest = full ^ 1 << v
+            if degrees[v] == degree and _reach(rows, rest & -rest, rest) == rest:
+                keys[v] = sorted(degrees[u] for u in _bits(row))
+        if keys:
+            best = max(keys.values())
+            return sum(1 << v for v, key in keys.items() if key == best)
+    return 0
+
+
+def reference_augmentations(
+    rows: list[int],
+    n: int,
+    remaining: int,
+    budget: Budget,
+    generators: tuple | None = None,
+) -> list[list[int]]:
+    """rows plus one new point, for each neighbourhood mask that may still
+    extend to a closed n-manifold with remaining more points.
+
+    rows must have passed this test with remaining + 1, so only what the
+    new point changes is checked.  A depth-first search on an explicit
+    stack decides bits from the highest down, excluding a point before
+    including it, so masks come out in ascending order; it charges one
+    node per partial mask.  A partial mask is cut when every mask
+    containing it must fail:
+
+    * each point's degree reaches 2n - remaining, as every point still to
+      come adds at most one neighbour: a point below that floor must join,
+      and the new point needs that many neighbours;
+    * n = 1: no degree exceeds 2;
+    * otherwise the mask (the new point's rim) holds no (n+1)-clique;
+    * n = 2: in each changed rim, the mask's and those of its points, no
+      degree exceeds 2, as on a cycle.
+
+    For n = 2 a complete mask must also leave each changed rim able to
+    close into an induced cycle of length >= 4.  A surviving mask that an
+    automorphism of rows maps to a smaller one is dropped: that graph is
+    isomorphic and comes first, so each class keeps its first mask.  The
+    automorphisms are generators, those a canonical search of rows found;
+    when they are not given, rows is searched for them.
+    """
+    s = len(rows)
+    floor = 2 * n - remaining
+    forced = 0
+    allowed = (1 << s) - 1
+    for v, row in enumerate(rows):
+        degree = row.bit_count()
+        if degree + 1 < floor or (n == 1 and degree > 2):
+            return []
+        if degree < floor:
+            forced |= 1 << v
+        if n == 1 and degree == 2:
+            allowed ^= 1 << v
+    if s < floor:
+        return []
+    kept: list[tuple[int, list[int]]] = []
+    new = 1 << s
+    # (undecided low bits, mask so far); count + undecided >= floor holds
+    stack = [(s, 0)]
+    while stack:
+        k, mask = stack.pop()
+        budget.charge()
+        if k:
+            k -= 1
+            bit = 1 << k
+            if allowed & bit and _reference_may_join(rows, n, k, mask):
+                stack.append((k, mask | bit))
+            if not forced & bit and mask.bit_count() + k >= floor:
+                stack.append((k, mask))
+            continue
+        if not mask:
+            continue
+        candidate = [row | new if mask >> i & 1 else row for i, row in enumerate(rows)]
+        candidate.append(mask)
+        if n == 2 and not all(
+            reference_leaf_rim_check(candidate, v) for v in _bits(mask | new)
+        ):
+            continue
+        kept.append((mask, candidate))
+    if len(kept) > 1:
+        if generators is None:
+            generators = canon._canonical(rows)[2]
+        if generators:
+            kept = [
+                (mask, candidate)
+                for mask, candidate in kept
+                if all(
+                    sum(1 << g[v] for v in _bits(mask)) >= mask for g in generators
+                )
+            ]
+    return [candidate for _, candidate in kept]
+
+
+def _reference_may_join(rows: list[int], n: int, v: int, mask: int) -> bool:
+    """Can point v join the partial mask without failing a cut above?"""
+    if n == 1:
+        return mask.bit_count() < 2
+    common = rows[v] & mask
+    if n == 2:
+        if common.bit_count() > 2:
+            return False
+        grown = mask | 1 << v
+        for u in _bits(common):
+            if (rows[u] & grown).bit_count() > 2 or (rows[u] & rows[v]).bit_count() > 1:
+                return False
+    return not _has_clique(rows, common, n)
+
+
+def reference_leaf_rim_check(rows: list[int], v: int) -> bool:
+    """Can the rim of v still become an induced cycle of length >= 4?
+
+    Inside a closed 2-manifold every rim is such a cycle; any induced
+    subgraph of it is a disjoint union of paths or the full cycle.
+    """
+    rim = rows[v]
+    ends = 0  # points of rim degree < 2: every path component has one
+    for u in _bits(rim):
+        degree = (rows[u] & rim).bit_count()
+        if degree > 2:
+            return False
+        if degree < 2:
+            ends |= 1 << u
+    if _reach(rows, ends, rim) == rim:
+        return True  # disjoint union of paths, can still grow
+    # some component closed into a cycle, which is only legal when the
+    # cycle is the entire rim and has length >= 4
+    return not ends and rim.bit_count() >= 4 and _reach(rows, rim & -rim, rim) == rim
 
 
 # -- row code before the shared kernel ---------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 import support
 from digitop import (
     Budget,
+    DigitalSpace,
     MatchKind,
     NotAManifoldError,
     canonical_form,
@@ -21,16 +22,17 @@ from digitop import (
     minimal_sphere,
     projective_plane11,
     r_transform,
+    recognize_closed_manifold,
     torus16,
 )
 from digitop import canon
 from digitop.canon import canonical_encoding_rows
 from digitop.classify import (
     _augmentations,
-    _designated,
     _grown_connected_graphs,
-    _rim_extends_to_cycle,
+    _new_point_designated,
 )
+from digitop.space import _reach
 
 
 def _connected(rows, points) -> bool:
@@ -166,7 +168,7 @@ def test_designated_points_are_label_invariant():
     leaves the graph connected, and follows every relabeling."""
     rng = random.Random(10)
     for rows in support.all_connected_rows(7):
-        mask = _designated(list(rows))
+        mask = support.reference_designated(list(rows))
         assert mask, rows
         for v in range(len(rows)):
             if mask >> v & 1:
@@ -181,7 +183,28 @@ def test_designated_points_are_label_invariant():
                     1 << perm[u] for u in range(len(rows)) if row >> u & 1
                 )
             image = sum(1 << perm[v] for v in range(len(rows)) if mask >> v & 1)
-            assert _designated(relabeled) == image, (rows, perm)
+            assert support.reference_designated(relabeled) == image, (rows, perm)
+
+
+def test_new_point_designation_matches_the_reference():
+    """With each point whose deletion leaves the graph connected moved to
+    the end, as growth leaves its new point, the last point is designated
+    exactly when it lies in the reference's designated mask."""
+    checked = 0
+    for rows in support.all_connected_rows(7):
+        size = len(rows)
+        for v in range(size):
+            order = [u for u in range(size) if u != v] + [v]
+            at = {u: k for k, u in enumerate(order)}
+            moved = [sum(1 << at[w] for w in range(size) if rows[u] >> w & 1)
+                     for u in order]
+            rest = (1 << size - 1) - 1
+            if size > 1 and _reach(moved, 1, rest) != rest:
+                continue  # v is a cut point: no parent grows it last
+            checked += 1
+            expected = support.reference_designated(moved) >> size - 1 & 1
+            assert _new_point_designated(moved) == bool(expected), (rows, v)
+    assert checked > 1000
 
 
 def test_augmentation_search_needs_no_recursion():
@@ -206,7 +229,69 @@ def test_rim_check_matches_the_reference():
         rows = list(rows)
         for v in range(len(rows)):
             expected = support.reference_rim_extends_to_cycle(rows, v)
-            assert _rim_extends_to_cycle(rows, v) == expected, (rows, v)
+            assert support.reference_leaf_rim_check(rows, v) == expected, (rows, v)
+
+
+def test_augmentations_match_the_leaf_rim_walk():
+    """The search that decides rims as points join returns the same
+    candidates, in the same order, as the search that re-walked every
+    changed rim at each complete mask, with the tier's generators given
+    or searched for.  For n = 2 the new search relies on rows having
+    passed the test one point earlier, as every grown parent has: each
+    rim of rows is disjoint paths or one cycle of length >= 4.  Graphs
+    with another rim are skipped for n = 2."""
+    compared = 0
+    for rows in support.all_connected_rows(7):
+        rows = list(rows)
+        generators = canon._canonical(rows)[2]
+        rims_hold = all(
+            support.reference_rim_extends_to_cycle(rows, v) for v in range(len(rows))
+        )
+        for n in (1, 2, 3) if rims_hold else (1, 3):
+            for remaining in range(5):
+                expected = support.reference_augmentations(
+                    rows, n, remaining, Budget(None), generators
+                )
+                for given in (generators, None):
+                    grown = _augmentations(rows, n, remaining, Budget(None), given)
+                    assert grown == expected, (rows, n, remaining, given)
+                compared += bool(expected)
+    assert compared > 1000
+
+
+def test_flag_sphere_census_two_ways():
+    """The closed 2-manifolds with 6..10 points, found two independent
+    ways: by n = 2 growth filtered by the recognizer alone (no
+    compressedness filter), and as the R-transform closure of the
+    octahedron, deduplicated by canonical form.  Both give 1, 1, 2, 4
+    and 10 spheres, the counts of triangulated 2-spheres without
+    separating triangles (minimum degree 4) tabulated by Brinkmann and
+    McKay ("Fast generation of planar graphs", MATCH Commun. Math.
+    Comput. Chem. 58, 2007), and every member of the closure compresses
+    back to the octahedron."""
+    sizes = range(6, 11)
+    grown = {size: set() for size in sizes}
+    for rows in _grown_connected_graphs(2, sizes[-1], Budget(None)):
+        if len(rows) in grown:
+            space = DigitalSpace._from_rows([f"v{k:02d}" for k in range(len(rows))], rows)
+            if recognize_closed_manifold(space, Budget(None)) == 2:
+                assert space.euler_characteristic() == 2
+                grown[len(rows)].add(canonical_form(space).encoding)
+    octahedron = minimal_sphere(2)
+    target = canonical_form(octahedron).encoding
+    layer = {target: octahedron}
+    closure = {6: {target}}
+    for size in sizes[1:]:
+        layer = {
+            canonical_form(G).encoding: G
+            for M in layer.values()
+            for G in (r_transform(M, v, u) for v, u in M.edges)
+        }
+        closure[size] = set(layer)
+        for G in layer.values():
+            assert canonical_form(compress(G).space).encoding == target
+    assert [len(grown[size]) for size in sizes] == [1, 1, 2, 4, 10]
+    assert grown == closure
 
 
 def test_catalog_validation():
