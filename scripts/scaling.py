@@ -16,7 +16,11 @@ runs is_contractible on the complete graph with n points for each n in
 CONES, memo cleared, and prints wall_s and nodes, or the exception the
 call raised.  The last row times building the rim of every point of
 torus16 grown by GROWTH seeded R-transforms: the fastest of RIM_BATCHES
-batches of RIM_PASSES passes, in ms per pass.  --src
+batches of RIM_PASSES passes, in ms per pass.  Then, for each (start,
+points) in COMPRESSIONS, it grows that manifold by R-transforms on edges
+drawn with random.Random(points) until it has that many points, clears
+the memo tables and runs compress, and prints wall_s, nodes, canon_calls,
+the number of contraction steps and the final point count.  --src
 picks the digitop sources to import (default: src/ next to this script),
 so two checkouts can be compared with the same script.  Standard library
 only.
@@ -40,6 +44,8 @@ SIZES = (50, 100, 200, 400, 800)
 CATALOGS = ((2, 7), (2, 8), (2, 9), (2, 10), (3, 8), (3, 9), (3, 10))
 CONES = (20, 24, 200)
 GROWTH, RIM_BATCHES, RIM_PASSES = 10, 15, 200
+COMPRESSIONS = (("torus16", 50), ("torus16", 100), ("torus16", 200),
+                ("minimal_sphere3", 30), ("minimal_sphere3", 50))
 
 
 def path_space(dg, n: int):
@@ -129,6 +135,22 @@ def main(argv=None) -> int:
     print(json.dumps({"input": "grown_torus_rims", "points": len(torus),
                       "growth_seed": 0, "per_pass_ms": round(1000 * min(batches), 4)}),
           flush=True)
+    starts = {"torus16": dg.torus16, "minimal_sphere3": lambda: dg.minimal_sphere(3)}
+    for start_name, points in COMPRESSIONS:
+        M = starts[start_name]()
+        rng = random.Random(points)
+        while len(M) < points:
+            M = dg.r_transform(M, *rng.choice(M.edges))
+        dg.cache.clear_all()
+        calls[0] = 0
+        budget = dg.Budget()
+        start = time.perf_counter()
+        result = dg.compress(M, budget)
+        wall = time.perf_counter() - start
+        print(json.dumps({"input": f"compress_{start_name}", "n": points,
+                          "wall_s": round(wall, 4), "nodes": budget.spent,
+                          "canon_calls": calls[0], "steps": len(result.steps),
+                          "final_points": len(result.space)}), flush=True)
     return 0
 
 

@@ -25,6 +25,12 @@ its point ids and caches alive.  Equal rows and equal encodings both mean
 isomorphic spaces, so hits and misses are exactly those of a table
 keyed by encoding.
 
+get_exact and put_exact use the exact tier alone.  They are for values
+that are cheap to recompute without a canonical search: recognition
+keeps there every verdict its rims decide (not a closed manifold, or a
+cycle).  Such an entry sits in no bucket, so it never makes a later
+lookup canonize, and it is found again only under the same rows.
+
 Tables are capped at CAPACITY rows in the exact tier, which holds every
 entry; on overflow the whole table is dropped, which keeps the code
 free of eviction bookkeeping while bounding memory.
@@ -74,6 +80,15 @@ class FormCache:
         if value is not MISSING:
             self._record(space._rows, value)
         return value
+
+    def get_exact(self, space):
+        """The exact tier alone: never canonizes."""
+        return self._exact.get(space._rows, MISSING)
+
+    def put_exact(self, space, value) -> None:
+        """Record under these rows only, in no bucket, so the entry never
+        makes a later lookup canonize."""
+        self._record(space._rows, value)
 
     def put(self, space, value) -> None:
         self._record(space._rows, value)

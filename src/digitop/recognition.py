@@ -10,11 +10,16 @@ rims are not spheres makes an n-sphere (the cone test).  A manifold
 with (spherical) boundary splits (_split) into interior points with
 sphere rims and boundary points with disk rims.
 
-Sphere recognition is memoized per isomorphism class (cache.py), with
-the closed-manifold dimension stored next to the sphere dimension, so a
-repeated recognize of a closed manifold walks no rims.  Punctured-space
-checks only need one representative per automorphism orbit, which is
-what makes the highly symmetric minimal spheres cheap to certify.
+Sphere recognition walks the rims first: a space that is not a closed
+manifold, or is a cycle, is decided there with no canonical search, and
+only a closed manifold of dimension >= 2 goes on to the puncture test.
+Verdicts are memoized (cache.py), with the closed-manifold dimension
+stored next to the sphere dimension, so a repeated recognize of a
+closed manifold walks no rims.  Rim-decided verdicts are kept under
+their rows only; the puncture-tested ones per isomorphism class.
+Punctured-space checks only need one representative per automorphism
+orbit, which is what makes the highly symmetric minimal spheres cheap
+to certify.
 """
 
 from __future__ import annotations
@@ -69,23 +74,38 @@ def _sphere(G: DigitalSpace, budget: Budget) -> int | None:
 
 def _sphere_walk(G: DigitalSpace, budget: Budget) -> tuple[int | None, int | None]:
     """G's sphere dimension and _closed_dim(G), memoized together, so a
-    closed manifold's rims are walked once, and never on a memo hit."""
+    closed manifold's rims are walked once, and never on a memo hit.
+
+    Being a closed manifold is local, so the rims decide it before any
+    canonization.  A space that is not one is no sphere; a closed
+    1-manifold is a cycle of length >= 4, whose punctures are paths, so
+    it is a 1-sphere.  Both answers follow from the definitions, charge
+    no node and go to the exact tier only.  Only a closed manifold of
+    dimension >= 2 asks the buckets; on a miss it charges one node and
+    tests one puncture per automorphism orbit.
+    """
     count = len(G)
     if count == 2 and G.edge_count == 0:
         return 0, 0
     if count < 4:
         # no sphere besides S0, and no closed manifold, has fewer than four points
         return None, None
+    hit = _SPHERE.get_exact(G)
+    if hit is not MISSING:
+        return hit
+    closed = _closed_dim(G, budget)
+    if closed is None or closed < 2:
+        _SPHERE.put_exact(G, (closed, closed))
+        return closed, closed
     hit = _SPHERE.get(G)
     if hit is not MISSING:
         return hit
     budget.charge()
-    closed = n = _closed_dim(G, budget)
-    if n is not None and not all(
+    punctures_contractible = all(
         is_contractible(G.delete_points([orbit[0]]), budget)
         for orbit in point_orbits(G)
-    ):
-        n = None
+    )
+    n = closed if punctures_contractible else None
     _SPHERE.put(G, (n, closed))
     return n, closed
 

@@ -578,6 +578,8 @@ class EncodingTable:
     def put(self, space, value) -> None:
         self._table[canonical_form(space).encoding] = value
 
+    get_exact, put_exact = get, put
+
     def clear(self) -> None:
         self._table.clear()
 

@@ -274,17 +274,56 @@ def test_warm_require_closed_manifold_canonizes_no_rims(cold_memo, monkeypatch):
     assert len(calls) == 0
 
 
-def test_sphere_memo_tells_equal_invariants_apart(cold_memo):
-    """C8 and two disjoint C4s have the same degrees; only C8 is a sphere."""
+def _count_searches(monkeypatch) -> list:
+    calls = []
+    original = canon._canonical
+    monkeypatch.setattr(canon, "_canonical", lambda rows: calls.append(1) or original(rows))
+    return calls
+
+
+def test_sphere_memo_tells_equal_invariants_apart(cold_memo, monkeypatch):
+    """C8 and two disjoint C4s have the same degrees; only C8 is a sphere.
+    The rims decide both, so neither charges a node or canonizes."""
     assert recognize_sphere(support.cycle(8)) == 1
     left, right = support.cycle(4, "a"), support.cycle(4, "b")
     two_squares = DigitalSpace(left.points + right.points, left.edges + right.edges)
     budget = Budget()
+    calls = _count_searches(monkeypatch)
     assert recognize_sphere(two_squares, budget) is None
-    assert budget.spent == 1
+    assert budget.spent == 0
+    assert len(calls) == 0
     budget = Budget()
     assert recognize_sphere(support.shuffled(support.cycle(8), random.Random(2)), budget) == 1
     assert budget.spent == 0
+
+
+def test_cycles_are_decided_by_their_rims(cold_memo, monkeypatch):
+    """A cycle's rims are all S0, and its punctures are paths: plain or
+    shuffled, it is a 1-sphere with no node charged and no search run."""
+    rng = random.Random(12)
+    cycles = [support.cycle(k) for k in range(4, 13)]
+    cycles += [support.shuffled(C, rng) for C in cycles]
+    expected = [support.reference_recognize(C) for C in cycles]
+    calls = _count_searches(monkeypatch)
+    for C, reference in zip(cycles, expected):
+        budget = Budget()
+        assert recognize(C, budget) == reference == RecognitionResult(SpaceKind.SPHERE, 1)
+        assert recognize_sphere(C, budget) == 1
+        assert budget.spent == 0
+    assert len(calls) == 0
+
+
+def test_require_closed_manifold_of_a_relabeled_torus_canonizes_nothing(
+    cold_memo, monkeypatch
+):
+    """Every rim of torus16 is a cycle, so a cold check under shuffled
+    labels runs no canonical search."""
+    torus = support.shuffled(torus16(), random.Random(16))
+    calls = _count_searches(monkeypatch)
+    budget = Budget()
+    assert require_closed_manifold(torus, budget) == 2
+    assert budget.spent == 0
+    assert len(calls) == 0
 
 
 def _corpus_passes(corpus):

@@ -128,6 +128,25 @@ def test_cycles_compress_to_the_square():
         assert len(result.steps) == k - 4
 
 
+def test_compress_strands_a_grown_three_sphere_at_twelve_points():
+    """The deterministic contraction order can end far above the 8-point
+    minimum: this grown 3-sphere stops at 12 points with no edge-disk
+    left, though a disk with a 3-point interior still contracts."""
+    grown = minimal_sphere(3)
+    rng = random.Random(24004)
+    while len(grown) < 24:
+        grown = r_transform(grown, *rng.choice(grown.edges))
+    stranded = compress(grown).space
+    assert len(stranded) == 12
+    assert recognize_sphere(stranded) == support.reference_sphere(stranded) == 3
+    assert find_edge_disks(stranded) == []
+    check = is_compressed(stranded, 3)
+    assert check.verdict is CompressionVerdict.NOT_COMPRESSED
+    smaller = contract_disk(stranded, check.witness)
+    assert len(smaller) < 12
+    assert recognize_sphere(smaller) == 3
+
+
 def test_contract_disk_validation():
     octa = minimal_sphere(2)
     with pytest.raises(ValueError):
