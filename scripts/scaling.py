@@ -20,7 +20,11 @@ batches of RIM_PASSES passes, in ms per pass.  Then, for each (start,
 points) in COMPRESSIONS, it grows that manifold by R-transforms on edges
 drawn with random.Random(points) until it has that many points, clears
 the memo tables and runs compress, and prints wall_s, nodes, canon_calls,
-the number of contraction steps and the final point count.  --src
+the number of contraction steps and the final point count.  The last
+row is the connected-graph census: catalog growth with n = 0, where the
+link rule cuts nothing, through CENSUS_POINTS points, unbounded, with
+the number of graphs per point count (OEIS A001349: 1, 1, 2, 6, 21,
+112, 853, 11117, 261080), wall_s, nodes and canon_calls.  --src
 picks the digitop sources to import (default: src/ next to this script),
 so two checkouts can be compared with the same script.  Standard library
 only.
@@ -41,11 +45,13 @@ sys.path.insert(0, str(REPO / "bench"))
 from tracing import loglog_slope  # noqa: E402
 
 SIZES = (50, 100, 200, 400, 800)
-CATALOGS = ((2, 7), (2, 8), (2, 9), (2, 10), (3, 8), (3, 9), (3, 10))
+CATALOGS = ((2, 7), (2, 8), (2, 9), (2, 10), (3, 8), (3, 9), (3, 10), (3, 11),
+            (4, 11))
 CONES = (20, 24, 200)
 GROWTH, RIM_BATCHES, RIM_PASSES = 10, 15, 200
 COMPRESSIONS = (("torus16", 50), ("torus16", 100), ("torus16", 200),
                 ("minimal_sphere3", 30), ("minimal_sphere3", 50))
+CENSUS_POINTS = 9
 
 
 def path_space(dg, n: int):
@@ -151,6 +157,16 @@ def main(argv=None) -> int:
                           "wall_s": round(wall, 4), "nodes": budget.spent,
                           "canon_calls": calls[0], "steps": len(result.steps),
                           "final_points": len(result.space)}), flush=True)
+    calls[0] = 0
+    budget = dg.Budget(None)
+    tiers = [0] * CENSUS_POINTS
+    start = time.perf_counter()
+    for rows in dg.classify._grown_connected_graphs(0, CENSUS_POINTS, budget):
+        tiers[len(rows) - 1] += 1
+    wall = time.perf_counter() - start
+    print(json.dumps({"input": "connected_graph_census", "max_points": CENSUS_POINTS,
+                      "tiers": tiers, "wall_s": round(wall, 4), "nodes": budget.spent,
+                      "canon_calls": calls[0]}), flush=True)
     return 0
 
 

@@ -8,9 +8,12 @@ form plus Euler characteristic).
 
 catalog(n, N) enumerates the compressed closed n-manifolds with at most
 N points.  Connected graphs are grown one point at a time: a search over
-the new point's neighbourhood builds only the graphs that still meet
-necessary conditions for sitting inside an n-manifold of size <= N (see
-_augmentations), one per orbit of the parent's discovered automorphisms.
+the new point's neighbourhood builds only the graphs that may still sit
+inside an n-manifold of size <= N, one per orbit of the parent's
+discovered automorphisms.  One link rule, the same in every dimension,
+decides that (see _augmentations): every n-clique has at most 2 common
+neighbours, and the link of every (n-1)-clique is disjoint paths or one
+whole cycle of >= 4 points.
 As in McKay's canonical augmentation ("Isomorph-free exhaustive
 generation", J. Algorithms 26, 1998), a grown graph is kept only when
 its new point is designated, a label-invariant choice of the points it
@@ -208,55 +211,42 @@ def _new_point_designated(rows: list[int]) -> bool:
 
 
 def _augmentations(
-    rows: list[int],
-    n: int,
-    remaining: int,
-    budget: Budget,
-    generators: tuple | None = None,
+    rows: list[int], n: int, remaining: int, budget: Budget, generators: tuple
 ) -> list[list[int]]:
-    """rows plus one new point, for each neighbourhood mask that may still
-    extend to a closed n-manifold with remaining more points.
+    """rows plus one new point p, for each neighbourhood mask that may
+    still extend to a closed n-manifold with remaining more points.
 
-    rows must have passed this test with remaining + 1, so only what the
-    new point changes is checked.  A depth-first search on an explicit
-    stack decides bits from the highest down, excluding a point before
-    including it, so masks come out in ascending order; it charges one
-    node per partial mask.  A partial mask is cut when every mask
-    containing it must fail:
+    A depth-first search on an explicit stack decides bits from the
+    highest down, excluding a point before including it, so masks come
+    out in ascending order; it charges one node per partial mask.  Each
+    point's degree must reach 2n - remaining, as every point still to
+    come adds at most one neighbour: a point below that floor must join,
+    and p needs that many neighbours.  Growth never joins two old points,
+    so a grown graph is an induced subgraph of every manifold it becomes,
+    and one link rule cuts a partial mask: in a closed flag n-manifold
+    every n-clique has exactly 2 common neighbours and the link (common
+    neighbourhood) of every (n-1)-clique is one cycle of >= 4 points.  So
+    no n-clique may gain a third common neighbour, and each link that p
+    changes must stay disjoint paths or close into one such cycle, whole;
+    a point whose n-cliques all have 2 common neighbours never joins.
+    rows must have passed this test with remaining + 1, so only what p
+    changes is checked, as each point joins (see _may_join).
 
-    * each point's degree reaches 2n - remaining, as every point still to
-      come adds at most one neighbour: a point below that floor must join,
-      and the new point needs that many neighbours;
-    * n = 1: no degree exceeds 2;
-    * n >= 3: the mask (the new point's rim) holds no (n+1)-clique;
-    * n = 2: each changed rim, the mask's and those of its points, stays
-      disjoint paths or closes into one induced cycle of length >= 4, as
-      in a closed 2-manifold: a point whose rim is a cycle never joins,
-      and a join that links two ends of one path must close the whole
-      rim; once the mask closes, no lower point joins.
-
-    A surviving mask that an automorphism of rows maps to a smaller one
-    is dropped: that graph is isomorphic and comes first, so each class
-    keeps its first mask.  The automorphisms are generators, those a
-    canonical search of rows found; when they are not given, rows is
-    searched for them.
+    A surviving mask that one of the generators, automorphisms of rows,
+    maps to a smaller one is dropped: that graph is isomorphic and comes
+    first, so each class keeps its first mask.
     """
     s = len(rows)
     floor = 2 * n - remaining
-    forced = 0
-    allowed = (1 << s) - 1
+    forced = allowed = 0
     for v, row in enumerate(rows):
         degree = row.bit_count()
-        if degree + 1 < floor or (n == 1 and degree > 2):
+        if degree + 1 < floor:
             return []
         if degree < floor:
             forced |= 1 << v
-        if n == 1 and degree == 2:
-            allowed ^= 1 << v
-        if n == 2 and row and all(
-            (rows[u] & row).bit_count() > 1 for u in _bits(row)
-        ):
-            allowed ^= 1 << v  # its rim is a cycle already
+        if min(map(int.bit_count, _links(rows, row, n - 1, row)), default=0) < 2:
+            allowed |= 1 << v
     if s < floor or forced & ~allowed:
         return []
     kept: list[tuple[int, list[int]]] = []
@@ -271,7 +261,7 @@ def _augmentations(
             bit = 1 << k
             join = _may_join(rows, n, k, mask) if allowed & bit else 0
             if join == 2:
-                # the mask closed into a cycle: every lower bit stays out
+                # p's own link closed into a cycle: every lower bit stays out
                 if not forced & bit - 1:
                     stack.append((0, mask | bit))
             elif join:
@@ -282,38 +272,57 @@ def _augmentations(
         if mask:
             grown = [row | new if mask >> i & 1 else row for i, row in enumerate(rows)]
             kept.append((mask, grown + [mask]))
-    if len(kept) > 1:
-        if generators is None:
-            generators = canon._canonical(rows)[2]
-        if generators:
-            kept = [
-                (mask, candidate)
-                for mask, candidate in kept
-                if all(
-                    sum(1 << g[v] for v in _bits(mask)) >= mask for g in generators
-                )
-            ]
+    if len(kept) > 1 and generators:
+        kept = [
+            (mask, candidate)
+            for mask, candidate in kept
+            if all(sum(1 << g[v] for v in _bits(mask)) >= mask for g in generators)
+        ]
     return [candidate for _, candidate in kept]
 
 
 def _may_join(rows: list[int], n: int, v: int, mask: int) -> int:
-    """Can point v join the partial mask without failing a cut above?  0
-    if not, 2 if it closes the mask into a cycle (n = 2), else 1."""
-    if n == 1:
-        return mask.bit_count() < 2
+    """Can point v join the partial mask, giving the new point p the
+    neighbour v, under the link rule of _augmentations?  0 if not, 2 if
+    it closes p's own link, the mask, into a cycle (n = 2), else 1."""
     common = rows[v] & mask
-    if n != 2:
-        return not _has_clique(rows, common, n)
     grown = mask | 1 << v
-    for u in _bits(common | 1 << v):
-        # the new point's neighbours in the rims that v's join changes,
-        # and v's degree there, which the new point raises by one
-        ends = rows[u] & grown
-        if ends.bit_count() > 2 or u != v and (rows[u] & rows[v]).bit_count() > 1:
+    full = (1 << len(rows)) - 1
+    for link in _links(rows, common, n - 1, full):
+        # per (n-1)-clique F in common: F + v gains p as a common
+        # neighbour, and p gains the neighbour v in link(F)
+        ends = link & grown
+        if (link & rows[v]).bit_count() > 1 or ends.bit_count() > 2:
             return 0
-        if ends.bit_count() == 2 and not _link(rows, ends, rows[u]):
+        if ends.bit_count() == 2 and not _link(rows, ends, link):
             return 0
-    return _link(rows, common, mask) if common.bit_count() == 2 else 1
+    closed = 1
+    for link in _links(rows, common, n - 2, full):
+        # per (n-2)-clique G in common: p joins link(v + G) and v joins
+        # link(p + G), each next to ends
+        ends = link & common
+        if ends.bit_count() > 2:
+            return 0
+        if ends.bit_count() == 2:
+            closed = _link(rows, ends, link & mask)
+            if not closed or not _link(rows, ends, link & rows[v]):
+                return 0
+    # for n = 2 the only G is the empty clique, and link(p + G) is the mask
+    return closed if n == 2 else 1
+
+
+def _links(rows: list[int], within: int, k: int, common: int):
+    """For each k-clique inside within, the points of common adjacent to
+    all of it: common itself for k = 0, nothing for k < 0."""
+    if k == 0:
+        yield common
+    while k > 0 and within:
+        v = (within & -within).bit_length() - 1
+        within &= within - 1
+        if k == 1:
+            yield common & rows[v]
+        else:
+            yield from _links(rows, within & rows[v], k - 1, common & rows[v])
 
 
 def _link(rows: list[int], ends: int, rim: int) -> int:
@@ -325,18 +334,6 @@ def _link(rows: list[int], ends: int, rim: int) -> int:
     if not path & ends ^ low:
         return 1
     return 2 if path == rim and rim.bit_count() >= 3 else 0
-
-
-def _has_clique(rows: list[int], mask: int, k: int) -> bool:
-    """Does the induced subgraph on mask contain a k-clique?"""
-    if k == 0:
-        return True
-    while mask:
-        v = (mask & -mask).bit_length() - 1
-        mask &= mask - 1
-        if _has_clique(rows, mask & rows[v], k - 1):
-            return True
-    return False
 
 
 def classify_against_catalog(

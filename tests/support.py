@@ -23,7 +23,6 @@ from digitop import (
 )
 from digitop.budget import Budget, ensure_budget
 from digitop.cache import MISSING
-from digitop.classify import _has_clique
 from digitop.canon import (
     _Orbits,
     _refine,
@@ -199,6 +198,18 @@ def reference_grown_connected_graphs(n: int, max_points: int, budget: Budget):
         tier = next_tier
 
 
+def _has_clique(rows: list[int], mask: int, k: int) -> bool:
+    """Does the induced subgraph on mask contain a k-clique?"""
+    if k == 0:
+        return True
+    while mask:
+        v = (mask & -mask).bit_length() - 1
+        mask &= mask - 1
+        if _has_clique(rows, mask & rows[v], k - 1):
+            return True
+    return False
+
+
 def _reference_prune(rows: list[int], n: int, remaining: int) -> bool:
     """True when rows cannot extend to a closed n-manifold in time."""
     size = len(rows)
@@ -227,6 +238,21 @@ def _reference_prune(rows: list[int], n: int, remaining: int) -> bool:
                 if u > v and (row & rows[u]).bit_count() > 2:
                     return True
     return False
+
+
+def reference_link_rule(rows: Sequence[int], n: int) -> bool:
+    """Does every (n-1)-clique's link (common neighbourhood), found by
+    brute force over point combinations, induce disjoint paths or one
+    cycle of >= 4 points, as inside a closed flag n-manifold?  The link
+    is handed to reference_rim_extends_to_cycle as the rim of an extra
+    point."""
+    points = range(len(rows))
+    for clique in itertools.combinations(points, n - 1) if n >= 1 else ():
+        if all(rows[u] >> w & 1 for u, w in itertools.combinations(clique, 2)):
+            link = sum(1 << w for w in points if all(rows[u] >> w & 1 for u in clique))
+            if not reference_rim_extends_to_cycle([*rows, link], len(rows)):
+                return False
+    return True
 
 
 # -- catalog growth before rims were decided in the search ----------------------
