@@ -14,20 +14,21 @@ for each pair in CATALOGS, memo cleared, with the default catalog budget,
 and prints the same fields plus exhaustive and the entry count.  Then it
 runs is_contractible on the complete graph with n points for each n in
 CONES, memo cleared, and prints wall_s and nodes, or the exception the
-call raised.  The last row times building the rim of every point of
+call raised.  The next row times building the rim of every point of
 torus16 grown by GROWTH seeded R-transforms: the fastest of RIM_BATCHES
 batches of RIM_PASSES passes, in ms per pass.  Then, for each (start,
 points) in COMPRESSIONS, it grows that manifold by R-transforms on edges
 drawn with random.Random(points) until it has that many points, clears
 the memo tables and runs compress, and prints wall_s, nodes, canon_calls,
-the number of contraction steps and the final point count.  The last
-row is the connected-graph census: catalog growth with n = 0, where the
-link rule cuts nothing, through CENSUS_POINTS points, unbounded, with
-the number of graphs per point count (OEIS A001349: 1, 1, 2, 6, 21,
-112, 853, 11117, 261080), wall_s, nodes and canon_calls.  --src
-picks the digitop sources to import (default: src/ next to this script),
-so two checkouts can be compared with the same script.  Standard library
-only.
+subspaces (induced subspaces built, counted by wrapping
+DigitalSpace._induced_by_mask), the number of contraction steps and the
+final point count.  The last row is the connected-graph census:
+catalog growth with n = 0, where the link rule cuts nothing, through
+CENSUS_POINTS points, unbounded, with the number of graphs per point
+count (OEIS A001349: 1, 1, 2, 6, 21, 112, 853, 11117, 261080), wall_s,
+nodes and canon_calls.  --src picks the digitop sources to import
+(default: src/ next to this script), so two checkouts can be compared
+with the same script.  Standard library only.
 """
 
 from __future__ import annotations
@@ -83,6 +84,14 @@ def main(argv=None) -> int:
         return canonical(rows)
 
     canon._canonical = counted
+    subspaces = [0]
+    induced = dg.DigitalSpace._induced_by_mask
+
+    def counted_induced(space, mask):
+        subspaces[0] += 1
+        return induced(space, mask)
+
+    dg.DigitalSpace._induced_by_mask = counted_induced
     slopes: dict[str, list[tuple[float, float]]] = {}
     for name, build in (("path", path_space), ("tree", tree_space)):
         for n in SIZES:
@@ -148,14 +157,15 @@ def main(argv=None) -> int:
         while len(M) < points:
             M = dg.r_transform(M, *rng.choice(M.edges))
         dg.cache.clear_all()
-        calls[0] = 0
+        calls[0] = subspaces[0] = 0
         budget = dg.Budget()
         start = time.perf_counter()
         result = dg.compress(M, budget)
         wall = time.perf_counter() - start
         print(json.dumps({"input": f"compress_{start_name}", "n": points,
                           "wall_s": round(wall, 4), "nodes": budget.spent,
-                          "canon_calls": calls[0], "steps": len(result.steps),
+                          "canon_calls": calls[0], "subspaces": subspaces[0],
+                          "steps": len(result.steps),
                           "final_points": len(result.space)}), flush=True)
     calls[0] = 0
     budget = dg.Budget(None)

@@ -64,8 +64,7 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _budget(args: argparse.Namespace) -> Budget | None:
-    limit = getattr(args, "budget", None)
-    return None if limit is None else Budget(limit)
+    return None if args.budget is None else Budget(args.budget)
 
 
 def _require_point(G: DigitalSpace, point: str) -> None:
@@ -251,12 +250,19 @@ def _cmd_dot(args: argparse.Namespace) -> int:
 # -- parser ------------------------------------------------------------------------
 
 
+def _node_limit(text: str) -> int:
+    """--budget's argument type: an integer N >= 0, in decimal digits."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer N >= 0, got {text!r}")
+    return int(text)
+
+
 def _add_budget(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--budget",
-        type=int,
+        type=_node_limit,
         metavar="N",
-        help="search node limit (default: library default)",
+        help="search node limit N >= 0 (default: library default)",
     )
 
 

@@ -7,16 +7,19 @@ contraction is the size-reducing inverse idea: the interior of an
 embedded n-disk is replaced by a single point adjacent to the disk
 boundary.  Compressing a manifold means contracting disks until no
 contraction applies.  One search finds the disks: it grows connected
-interiors I breadth-first from the edges and tries I plus its
-neighbours as the disk.  compress contracts edge-disks (interior exactly
-{v, u}) in deterministic edge order, and is_compressed looks for disks
-whose interior has at most a given number of points.
+interiors I breadth-first from the edges and keeps I when I + N(I) plus
+an apex over N(I) is an n-sphere, the cone test.  It needs no rim split:
+the rims of I are spheres, those of N(I) in the disk punctured spheres.
+compress contracts edge-disks (interior exactly {v, u}) in deterministic
+edge order, and is_compressed looks for disks whose interior has at most
+a given number of points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import combinations
 from typing import Iterator
 
 from .budget import Budget, ensure_budget
@@ -28,7 +31,7 @@ from .recognition import (
     recognize_sphere,
     require_closed_manifold,
 )
-from .space import DigitalSpace
+from .space import DigitalSpace, _bits
 
 
 @dataclass(frozen=True)
@@ -121,30 +124,33 @@ def _disks(
     """(interior, boundary) for each embedded dim-disk of the dim-manifold M
     whose interior is a connected set of 2..bound points, both sorted.
 
-    Interiors grow breadth-first from the edges, in edge order, one
-    neighbour at a time; each candidate interior I costs one budget node.
-    The candidate disk is I plus its neighbours N(I).  A cheap necessary
-    filter runs first: N(I) must induce a (dim-1)-sphere, the boundary
-    the disk would have.  The disk is accepted when it is a dim-disk
-    whose interior is exactly I.
+    Interiors I grow breadth-first from the edges, in edge order, one
+    neighbour at a time, as masks over M's rows; each costs one budget
+    node.  I passes when its neighbours N(I) induce a (dim-1)-sphere and
+    the cone, I + N(I) plus an apex over N(I), is a dim-sphere.  That is
+    recognize_disk's cone test, and its rim split adds nothing: a point
+    of I has its whole rim, a (dim-1)-sphere, in I + N(I), and a point of
+    N(I) has there its rim in the cone minus the apex, a punctured
+    sphere, which is contractible and so no sphere.
     """
-    queue = list(M.edges)
+    rows = M._rows
+    queue = [1 << i | 1 << j for i, row in enumerate(rows) for j in _bits(row) if j > i]
     seen = set(queue)
-    for interior in queue:
+    for inside in queue:
         budget.charge()
-        inside = set(interior)
-        ring = tuple(sorted({q for p in interior for q in M.neighbors(p)} - inside))
-        if recognize_sphere(M.induced_subspace(ring), budget) == dim - 1:
-            disk = recognize_disk(M.induced_subspace(ring + interior), budget)
-            if (
-                disk is not None
-                and disk.dimension == dim
-                and set(disk.interior) == inside
-            ):
-                yield interior, ring
-        if len(interior) < bound:
-            for p in ring:
-                grown = tuple(sorted(interior + (p,)))
+        ring = 0
+        for p in _bits(inside):
+            ring |= rows[p]
+        ring &= ~inside
+        if recognize_sphere(M._induced_by_mask(ring), budget) == dim - 1:
+            boundary = M._ids_of(ring)
+            disk = M._induced_by_mask(inside | ring)
+            cone = disk.add_point(disk.fresh_id("apex"), boundary)
+            if recognize_sphere(cone, budget) == dim:
+                yield M._ids_of(inside), boundary
+        if inside.bit_count() < bound:
+            for p in _bits(ring):
+                grown = inside | 1 << p
                 if grown not in seen:
                     seen.add(grown)
                     queue.append(grown)
@@ -177,12 +183,11 @@ def is_compressed(
 ) -> CompressionCheck:
     """Search for an embedded disk whose interior has 2..bound points.
 
-    The bound is the interior size.  Interiors are connected point sets
-    grown from the edges, and the disk tried for an interior I is I plus
-    its neighbours N(I).  NOT_COMPRESSED comes with that disk as the
-    witness.  With the bound at 2 a clean result is EDGE_COMPRESSED,
-    meaning M has no edge-disk; larger bounds report
-    COMPRESSED_UP_TO_BOUND.
+    The bound is the interior size.  The disk tried for a connected
+    interior I is I plus its neighbours N(I); NOT_COMPRESSED comes with
+    the first one found as the witness.  With the bound at 2 a clean
+    result is EDGE_COMPRESSED, meaning M has no edge-disk; larger bounds
+    report COMPRESSED_UP_TO_BOUND.
     """
     budget = ensure_budget(budget)
     dim = require_closed_manifold(M, budget)
@@ -230,17 +235,11 @@ def connected_sum(
     if collisions:
         raise ValueError(f"id collisions between summands: {sorted(collisions)}")
     points = sorted(m_points | n_rest)
-    edges = set()
-    for p, q in M.edges:
-        if v not in (p, q):
-            edges.add((min(p, q), max(p, q)))
-    for p, q in N.edges:
-        if u in (p, q):
-            continue
-        a = into_m.get(p, p)
-        b = into_m.get(q, q)
-        edges.add((min(a, b), max(a, b)))
-    return DigitalSpace(points, sorted(edges))
+    edges = [edge for edge in M.edges if v not in edge]
+    edges += [
+        (into_m.get(p, p), into_m.get(q, q)) for p, q in N.edges if u not in (p, q)
+    ]
+    return DigitalSpace(points, edges)
 
 
 def _check_matching(
@@ -250,11 +249,6 @@ def _check_matching(
         raise ValueError("matching does not cover the first rim exactly")
     if sorted(matching.values()) != list(rim_n.points):
         raise ValueError("matching does not map onto the second rim exactly")
-    for p in rim_m.points:
-        for q in rim_m.points:
-            if p < q and rim_m.adjacent(p, q) != rim_n.adjacent(
-                matching[p], matching[q]
-            ):
-                raise ValueError(
-                    f"matching is not an isomorphism at {p!r}, {q!r}"
-                )
+    for p, q in combinations(rim_m.points, 2):
+        if rim_m.adjacent(p, q) != rim_n.adjacent(matching[p], matching[q]):
+            raise ValueError(f"matching is not an isomorphism at {p!r}, {q!r}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import os
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import digitop
 from digitop import canon
@@ -36,6 +36,7 @@ from digitop.recognition import (
     RecognitionResult,
     SpaceKind,
     recognize_disk,
+    recognize_sphere,
     require_closed_manifold,
 )
 from digitop.space import (
@@ -906,6 +907,48 @@ def reference_is_compressed(
     return CompressionCheck(verdict)
 
 
+# The disk search as it was before it decided each candidate by its cone
+# alone: id tuples and sets, and a full recognize_disk (rim split, then
+# the cone test) for every candidate whose ring is a sphere.  Copied
+# verbatim; transform._disks must yield the same disks in the same order
+# and charge the same nodes.
+
+
+def reference_disks(
+    M: DigitalSpace, dim: int, bound: int, budget: Budget
+) -> Iterator[tuple[tuple[str, ...], tuple[str, ...]]]:
+    """(interior, boundary) for each embedded dim-disk of the dim-manifold M
+    whose interior is a connected set of 2..bound points, both sorted.
+
+    Interiors grow breadth-first from the edges, in edge order, one
+    neighbour at a time; each candidate interior I costs one budget node.
+    The candidate disk is I plus its neighbours N(I).  A cheap necessary
+    filter runs first: N(I) must induce a (dim-1)-sphere, the boundary
+    the disk would have.  The disk is accepted when it is a dim-disk
+    whose interior is exactly I.
+    """
+    queue = list(M.edges)
+    seen = set(queue)
+    for interior in queue:
+        budget.charge()
+        inside = set(interior)
+        ring = tuple(sorted({q for p in interior for q in M.neighbors(p)} - inside))
+        if recognize_sphere(M.induced_subspace(ring), budget) == dim - 1:
+            disk = recognize_disk(M.induced_subspace(ring + interior), budget)
+            if (
+                disk is not None
+                and disk.dimension == dim
+                and set(disk.interior) == inside
+            ):
+                yield interior, ring
+        if len(interior) < bound:
+            for p in ring:
+                grown = tuple(sorted(interior + (p,)))
+                if grown not in seen:
+                    seen.add(grown)
+                    queue.append(grown)
+
+
 # -- contractibility search that rebuilds every level --------------------------------
 
 # The search as it was before simple-point flags were carried down the
@@ -1045,15 +1088,6 @@ def naive_contractible_rows(rows: tuple[int, ...]) -> bool:
             break
     _NAIVE_MEMO[rows] = result
     return result
-
-
-def naive_is_contractible(space: DigitalSpace) -> bool:
-    index = {p: i for i, p in enumerate(space.points)}
-    rows = [0] * len(space)
-    for p, q in space.edges:
-        rows[index[p]] |= 1 << index[q]
-        rows[index[q]] |= 1 << index[p]
-    return naive_contractible_rows(tuple(rows))
 
 
 _EXHAUSTIVE_RESULTS: dict[int, tuple[int, int, int]] = {}

@@ -211,6 +211,19 @@ def test_catalog_budget_exit(capsys):
     assert "exhaustive false" in out.splitlines()[0]
 
 
+def test_contractible_rejects_a_negative_budget(capsys, octa_file):
+    code, out, err = run(capsys, "contractible", octa_file, "--budget", "-1")
+    assert code == 2 and out == ""
+    assert "--budget" in err and "budget exceeded" not in err
+
+
+def test_catalog_rejects_a_negative_budget(capsys):
+    code, out, err = run(capsys, "catalog", "--dim", "1", "--max-points", "5",
+                         "--budget", "-1")
+    assert code == 2 and out == ""
+    assert "--budget" in err and "budget exceeded" not in err
+
+
 def test_iso_cli(capsys, tmp_path, octa_file, torus_file):
     import random
 

@@ -235,6 +235,41 @@ def test_disk_search_finds_three_point_interiors():
     assert recognize_closed_manifold(contracted) == 2
 
 
+def _disk_search_cases():
+    for k in range(4, 10):
+        for bound in (2, 3, 4):
+            yield support.cycle(k), bound
+    for base in (minimal_sphere(2), torus16(), projective_plane11()):
+        for moves in (1, 2, 3):
+            grown = _grown(base, moves, moves)
+            for bound in (2, 3, 4):
+                yield grown, bound
+    grown = minimal_sphere(3)
+    rng = random.Random(24004)
+    while len(grown) < 24:
+        grown = r_transform(grown, *rng.choice(grown.edges))
+    yield grown, 2
+    stranded = compress(grown).space
+    for bound in (2, 3):
+        yield stranded, bound
+
+
+def test_disk_search_matches_the_rim_split_search():
+    """Deciding each candidate by its cone alone yields the disks the full
+    recognize_disk search yields, in the same order, for the same nodes."""
+    found = 0
+    for M, bound in _disk_search_cases():
+        dim = recognize_closed_manifold(M)
+        runs = []
+        for search in (transform._disks, support.reference_disks):
+            cache.clear_all()
+            budget = Budget(None)
+            runs.append((list(search(M, dim, bound, budget)), budget.spent))
+        assert runs[0] == runs[1], (M.points, bound)
+        found += len(runs[0][0])
+    assert found > 400
+
+
 def test_is_compressed_grows_only_bounded_interiors():
     """An edge-compressed torus16 is certified within 100 nodes; a search
     over every connected subset spends tens of thousands."""
