@@ -14,9 +14,12 @@ for each pair in CATALOGS, memo cleared, with the default catalog budget,
 and prints the same fields plus exhaustive and the entry count.  Then it
 runs is_contractible on the complete graph with n points for each n in
 CONES, memo cleared, and prints wall_s and nodes, or the exception the
-call raised.  The next row times building the rim of every point of
-torus16 grown by GROWTH seeded R-transforms: the fastest of RIM_BATCHES
-batches of RIM_PASSES passes, in ms per pass.  Then, for each (start,
+call raised.  Then it runs canonical_form on the complete graph with n
+points for each n in CANON_COMPLETE and on n isolated points for each n
+in CANON_ISOLATED, the searches one level per point deep, and prints
+wall_s and canon_calls.  The next row times building the rim of every
+point of torus16 grown by GROWTH seeded R-transforms: the fastest of
+RIM_BATCHES batches of RIM_PASSES passes, in ms per pass.  Then, for each (start,
 points) in COMPRESSIONS, it grows that manifold by R-transforms on edges
 drawn with random.Random(points) until it has that many points, clears
 the memo tables and runs compress, and prints wall_s, nodes, canon_calls,
@@ -49,6 +52,8 @@ SIZES = (50, 100, 200, 400, 800)
 CATALOGS = ((2, 7), (2, 8), (2, 9), (2, 10), (3, 8), (3, 9), (3, 10), (3, 11),
             (4, 11))
 CONES = (20, 24, 200)
+CANON_COMPLETE = (50, 100, 200)
+CANON_ISOLATED = (100, 200, 400)
 GROWTH, RIM_BATCHES, RIM_PASSES = 10, 15, 200
 COMPRESSIONS = (("torus16", 50), ("torus16", 100), ("torus16", 200),
                 ("minimal_sphere3", 30), ("minimal_sphere3", 50))
@@ -136,6 +141,18 @@ def main(argv=None) -> int:
             row["raised"] = type(exc).__name__
         row.update(wall_s=round(time.perf_counter() - start, 4), nodes=budget.spent)
         print(json.dumps(row), flush=True)
+    for name, sizes, edged in (("canonical_complete", CANON_COMPLETE, True),
+                               ("canonical_isolated", CANON_ISOLATED, False)):
+        for n in sizes:
+            ids = [f"k{i:03d}" for i in range(n)]
+            edges = [(p, q) for i, p in enumerate(ids) for q in ids[:i]] if edged else []
+            space = dg.DigitalSpace(ids, edges)
+            calls[0] = 0
+            start = time.perf_counter()
+            dg.canonical_form(space)
+            wall = time.perf_counter() - start
+            print(json.dumps({"input": name, "n": n, "wall_s": round(wall, 4),
+                              "canon_calls": calls[0]}), flush=True)
     rng = random.Random(0)
     torus = dg.torus16()
     for _ in range(GROWTH):

@@ -3,9 +3,9 @@
 The algorithm is the usual individualization-refinement search: refine
 an ordered partition of the points until it is equitable, individualize
 one point of the first smallest non-singleton cell, and search each such
-child depth first, on an explicit stack rather than by recursion; the
-canonical form is the lexicographically smallest adjacency encoding over
-all discrete partitions reached.
+child depth first, each node a generator that space._run drives on an
+explicit stack; the canonical form is the lexicographically smallest
+adjacency encoding over all discrete partitions reached.
 
 Refinement works from a queue of splitter cells, in the style of
 nauty/Traces (McKay & Piperno, "Practical graph isomorphism, II",
@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .space import DigitalSpace, _reindex
+from .space import DigitalSpace, _reindex, _run
 
 
 @dataclass(frozen=True)
@@ -180,35 +180,10 @@ class _Search:
         self.moves: list[tuple[int, list[tuple[int, int]]]] = []
 
     def run(self) -> None:
-        """Depth-first search with an explicit stack of _children steps.
-
-        Each step yields the child partition it wants searched and is
-        resumed with that child's backjump depth or None, so deep searches
-        (one level per individualized point) use no Python recursion.
-        """
-        if self.n == 0:
-            return
-        cells = [0] * self.n
-        cells[0] = (1 << self.n) - 1
-        node = (_refine(self.rows, cells, [0]), (), 0)
-        stack = []
-        while True:
-            if node is not None:
-                cells, path, start = node
-                target, start = self._target(cells, start)
-                if target < 0:
-                    result = self._leaf(cells, path)
-                else:
-                    stack.append(self._children(cells, path, target, start))
-                    result = None
-            if not stack:
-                return
-            try:
-                node = stack[-1].send(result)
-            except StopIteration as done:
-                stack.pop()
-                node = None
-                result = done.value
+        if self.n:
+            cells = [0] * self.n
+            cells[0] = (1 << self.n) - 1
+            _run(self._node(_refine(self.rows, cells, [0]), (), 0))
 
     def _target(self, cells: list[int], start: int) -> tuple[int, int]:
         """Starts of the first smallest and of the first non-singleton cell,
@@ -227,13 +202,17 @@ class _Search:
             s += size
         return target, first
 
-    def _children(self, cells: list[int], path: tuple[int, ...], target: int, start: int):
-        """Explore one inner node: yield (cells, path, start) of each child
-        to search, receive its result, and return a backjump depth or None.
+    def _node(self, cells: list[int], path: tuple[int, ...], start: int):
+        """Search one node and return a backjump depth or None.  A leaf
+        decides at once; an inner node yields each child's _node and
+        receives its result.
 
-        Children refine this partition, so the singletons before start,
-        its first non-singleton cell, stay singletons in every child.
+        Children refine this partition, so the singletons before its
+        first non-singleton cell stay singletons in every child.
         """
+        target, start = self._target(cells, start)
+        if target < 0:
+            return self._leaf(cells, path)
         cell = cells[target]
         orbits = None
         folded = 0
@@ -257,7 +236,8 @@ class _Search:
             child = cells.copy()
             child[target] = low
             child[target + 1] = cell ^ low
-            result = yield _refine(self.rows, child, [target]), path + (v,), start
+            _refine(self.rows, child, [target])
+            result = yield self._node(child, path + (v,), start)
             tried.append(v)
             if result is not None:
                 if result < len(path):

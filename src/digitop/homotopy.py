@@ -28,6 +28,9 @@ contractible, so it is nonempty and connected, and every path through v
 can detour through it: G - v stays connected.  A contractible rim has
 chi = 1, and chi(G - v) = chi(G) - 1 + chi(O(v)), so chi stays 1.
 
+Each level is a generator, _contractible_steps, which yields those of
+its rims and deletions; space._run drives them on an explicit stack.
+
 Deleting v changes only the rims of v's neighbours, so a level inherits
 its parent's simple points and re-checks those rims alone, in point
 order.  Every other rim was decided at an ancestor, and asking again
@@ -43,7 +46,7 @@ from enum import Enum
 from .budget import Budget, BudgetExceeded, ensure_budget
 from .cache import MISSING, FormCache
 from .canon import canonical_form
-from .space import DigitalSpace, _bits, _drop
+from .space import DigitalSpace, _bits, _drop, _run
 
 _CONTRACTIBLE = FormCache()
 
@@ -61,34 +64,14 @@ class TraceError(ValueError):
 
 def is_contractible(G: DigitalSpace, budget: Budget | None = None) -> bool:
     """Decide whether G reduces to a point by simple-point deletions."""
-    return _contractible(G, ensure_budget(budget))
-
-
-def _contractible(G: DigitalSpace, budget: Budget) -> bool:
-    """Run the search with an explicit stack of _contractible_steps.
-
-    Each step yields the subspace it needs a verdict on, with what that
-    subspace inherits, and is resumed with the verdict, so deep deletion
-    chains use no Python recursion.
-    """
-    stack = [_contractible_steps(G, None, budget)]
-    verdict = None
-    while stack:
-        try:
-            sub, inherited = stack[-1].send(verdict)
-        except StopIteration as done:
-            stack.pop()
-            verdict = done.value
-        else:
-            stack.append(_contractible_steps(sub, inherited, budget))
-            verdict = None
-    return verdict
+    return _run(_contractible_steps(G, None, ensure_budget(budget)))
 
 
 def _contractible_steps(G: DigitalSpace, inherited, budget: Budget):
     """One search level.  inherited is None at a root (a top-level call
     or a rim); on a deletion chain it is (simple, stale): bitmasks over
-    G's points of those known simple and those whose rims changed."""
+    G's points of those known simple and those whose rims changed.  It
+    yields the search of each rim and deletion it needs a verdict on."""
     n = len(G)
     if n <= 1:
         return n == 1
@@ -105,14 +88,15 @@ def _contractible_steps(G: DigitalSpace, inherited, budget: Budget):
     else:
         simple, stale = inherited or (0, (1 << n) - 1)
         for i in _bits(stale):
-            if (yield G.rim(G.points[i]), None):
+            if (yield _contractible_steps(G.rim(G.points[i]), None, budget)):
                 simple |= 1 << i
         result = False
         if simple.bit_count() >= 2:
             for i in _bits(simple):
                 row = G._rows[i]
+                after = G.delete_points([G.points[i]])
                 child = (_drop(simple & ~row, i), _drop(row, i))
-                if (yield G.delete_points([G.points[i]]), child):
+                if (yield _contractible_steps(after, child, budget)):
                     result = True
                     break
     _CONTRACTIBLE.put(G, result)

@@ -7,8 +7,9 @@ punctured space G - v is contractible.  A closed n-manifold is the
 first half of that: _closed_dim alone.  An n-disk is a sphere minus a
 point, so G is a disk exactly when a fresh apex over the points whose
 rims are not spheres makes an n-sphere (the cone test).  A manifold
-with (spherical) boundary splits (_split) into interior points with
-sphere rims and boundary points with disk rims.
+with (spherical) boundary splits the same way into interior points with
+sphere rims and boundary points with disk rims, and is decided by the
+same cone (_cone): it must be a closed n-manifold.
 
 Sphere recognition walks the rims first: a space that is not a closed
 manifold, or is a cycle, is decided there with no canonical search, and
@@ -126,14 +127,23 @@ def _closed_dim(G: DigitalSpace, budget: Budget) -> int | None:
     return rim_dim + 1
 
 
-def _split(
-    G: DigitalSpace, budget: Budget
-) -> tuple[list[str], list[str], set[int]]:
-    """Points with sphere rims, the other points, and those rims' dimensions."""
+def _cone(G: DigitalSpace, budget: Budget, test) -> DiskDecomposition | None:
+    """(n, boundary, interior) if test(cone) == n, else None.
+
+    The interior is the points whose rims are spheres, all of one
+    dimension n - 1, the boundary the others; both must be nonempty.
+    The cone is G plus a fresh apex over the boundary.
+    """
     rim_dims = {v: _sphere(G.rim(v), budget) for v in G.points}
-    interior = [v for v, dim in rim_dims.items() if dim is not None]
-    boundary = [v for v, dim in rim_dims.items() if dim is None]
-    return interior, boundary, set(rim_dims.values()) - {None}
+    interior = tuple(v for v, dim in rim_dims.items() if dim is not None)
+    boundary = tuple(v for v, dim in rim_dims.items() if dim is None)
+    dims = set(rim_dims.values()) - {None}
+    if not interior or not boundary or len(dims) != 1:
+        return None
+    n = dims.pop() + 1
+    if test(G.add_point(G.fresh_id("apex"), boundary), budget) != n:
+        return None
+    return DiskDecomposition(n, boundary, interior)
 
 
 def recognize_disk(
@@ -150,13 +160,7 @@ def recognize_disk(
     budget = ensure_budget(budget)
     if len(G) == 1:
         return DiskDecomposition(0, (), (G.points[0],))
-    interior, boundary, rim_dims = _split(G, budget)
-    if not interior or not boundary or len(rim_dims) != 1:
-        return None
-    n = rim_dims.pop() + 1
-    if _sphere(G.add_point(G.fresh_id("apex"), boundary), budget) != n:
-        return None
-    return DiskDecomposition(n, tuple(boundary), tuple(interior))
+    return _cone(G, budget, _sphere)
 
 
 def recognize_closed_manifold(
@@ -178,22 +182,18 @@ def recognize_manifold_with_boundary(
     """(n, boundary, interior) for a manifold with spherical boundary.
 
     Interior rims must be (n-1)-spheres, boundary rims (n-1)-disks, the
-    boundary must be nonempty and induce an (n-1)-sphere.
+    boundary must be nonempty and induce an (n-1)-sphere: exactly when
+    G plus a fresh apex over the boundary B is a closed n-manifold.
+    (<=) The apex's rim is B, and a boundary rim is a cone rim minus the
+    apex, a punctured sphere.  (=>) A point of the boundary of rim(b)
+    with a sphere rim would make its joint rim with b a sphere, so that
+    (n-2)-sphere lies in rim(b) & B, an (n-2)-sphere too, and equals it
+    (Evako); b's cone rim is then the disk rim(b)'s own cone.
     """
     budget = ensure_budget(budget)
     if len(G) < 2 or not G.is_connected():
         return None
-    interior, boundary, rim_dims = _split(G, budget)
-    if not interior or not boundary or len(rim_dims) != 1:
-        return None
-    n = rim_dims.pop() + 1
-    for v in boundary:
-        disk = recognize_disk(G.rim(v), budget)
-        if disk is None or disk.dimension != n - 1:
-            return None
-    if _sphere(G.induced_subspace(boundary), budget) != n - 1:
-        return None
-    return DiskDecomposition(n, tuple(boundary), tuple(interior))
+    return _cone(G, budget, _closed_dim)
 
 
 def recognize(G: DigitalSpace, budget: Budget | None = None) -> RecognitionResult:

@@ -11,7 +11,8 @@ DigitalSpace is immutable: every operation returns a new space.  It
 holds only its sorted point ids (matching [A-Za-z0-9_]+, found by
 bisection), one integer bitmask row per point and a cache.  The row
 kernel shared by canon, homotopy and classify lives here too: _drop,
-_gap, _bits, _reach and _reindex.
+_gap, _bits, _reach and _reindex, and _run, the explicit-stack driver
+of the canonical and contractibility searches.
 """
 
 from __future__ import annotations
@@ -77,6 +78,24 @@ def _reindex(rows: Sequence[int], order: Sequence[int], within: int) -> list[int
             row ^= low
         out.append(new_row)
     return out
+
+
+def _run(root):
+    """Return value of the root generator, computed on an explicit stack,
+    not by recursion: each generator yields the generator of a subproblem,
+    is resumed with that subproblem's value, and returns its own."""
+    stack = [root]
+    value = None
+    while stack:
+        try:
+            child = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+        else:
+            stack.append(child)
+            value = None
+    return value
 
 
 def is_valid_point_id(point_id: object) -> bool:

@@ -189,10 +189,10 @@ def is_compressed(
     result is EDGE_COMPRESSED, meaning M has no edge-disk; larger bounds
     report COMPRESSED_UP_TO_BOUND.
     """
-    budget = ensure_budget(budget)
-    dim = require_closed_manifold(M, budget)
     if interior_bound < 2:
         raise ValueError("interior_bound must be at least 2")
+    budget = ensure_budget(budget)
+    dim = require_closed_manifold(M, budget)
     disk = next(_disks(M, dim, interior_bound, budget), None)
     if disk is not None:
         return CompressionCheck(

@@ -24,6 +24,7 @@ from digitop import (
     projective_plane11,
     r_transform,
     recognize_closed_manifold,
+    recognize_sphere,
     torus16,
 )
 from digitop import canon
@@ -367,7 +368,9 @@ def test_flag_sphere_census_two_ways():
     separating triangles (minimum degree 4) tabulated by Brinkmann and
     McKay ("Fast generation of planar graphs", MATCH Commun. Math.
     Comput. Chem. 58, 2007), and every member of the closure compresses
-    back to the octahedron."""
+    back to the octahedron.  Each grown closed 2-manifold, all of which
+    have chi = 2, is also one of the library's 2-spheres, so through 10
+    points chi decides 2-spheres among closed 2-manifolds."""
     sizes = range(6, 11)
     grown = {size: set() for size in sizes}
     for rows in _grown_connected_graphs(2, sizes[-1], Budget(None)):
@@ -375,6 +378,7 @@ def test_flag_sphere_census_two_ways():
             space = DigitalSpace._from_rows([f"v{k:02d}" for k in range(len(rows))], rows)
             if recognize_closed_manifold(space, Budget(None)) == 2:
                 assert space.euler_characteristic() == 2
+                assert recognize_sphere(space, Budget(None)) == 2
                 grown[len(rows)].add(canonical_form(space).encoding)
     octahedron = minimal_sphere(2)
     target = canonical_form(octahedron).encoding

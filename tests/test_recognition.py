@@ -239,6 +239,37 @@ def test_recognizers_match_reference_on_grown_pieces():
     assert kinds == set(SpaceKind)
 
 
+def _derived_pieces(rng):
+    """Punctures, balls, ball complements and breadth-first chunks of
+    grown S2, S3, S4, T and P."""
+    starts = (minimal_sphere(2), minimal_sphere(3), minimal_sphere(4), torus16(),
+              projective_plane11())
+    for M in starts:
+        for _ in range(3):
+            M = r_transform(M, *rng.choice(M.edges))
+        for v in rng.sample(M.points, 3):
+            yield M.delete_points([v])
+            yield M.delete_points([v, *M.neighbors(v)])
+            yield M.ball(v)
+            order = [v]
+            for u in order:
+                order += [w for w in M.neighbors(u) if w not in order]
+            for k in (len(M) // 3, len(M) // 2, 2 * len(M) // 3):
+                yield M.induced_subspace(order[:k])
+
+
+def test_manifold_with_boundary_cone_matches_reference():
+    """The one cone test against the rim-by-rim definition: boundary rims
+    are disks and the boundary is a sphere."""
+    bounded = 0
+    for seed in range(2):
+        for G in _derived_pieces(random.Random(seed)):
+            split = recognize_manifold_with_boundary(G)
+            assert split == support.reference_manifold_with_boundary(G), G.points
+            bounded += split is not None
+    assert bounded >= 60
+
+
 # -- the sphere memo ------------------------------------------------------------------
 
 

@@ -171,6 +171,16 @@ def test_contract_disk_on_grown_sphere():
     assert "q" in contracted
 
 
+def test_is_compressed_checks_its_bound_first():
+    """A bad bound is an argument error, whatever the space, and is found
+    before any rim is walked: a cold S3 would charge its rims' nodes."""
+    with pytest.raises(ValueError, match="interior_bound"):
+        is_compressed(support.complete(3), 1)
+    cache.clear_all()
+    with pytest.raises(ValueError, match="interior_bound"):
+        is_compressed(minimal_sphere(3), 0, Budget(0))
+
+
 def test_is_compressed_verdicts():
     assert is_compressed(support.cycle(4)).verdict == CompressionVerdict.EDGE_COMPRESSED
     assert is_compressed(minimal_sphere(2)).verdict == CompressionVerdict.EDGE_COMPRESSED
