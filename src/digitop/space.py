@@ -11,8 +11,8 @@ DigitalSpace is immutable: every operation returns a new space.  It
 holds only its sorted point ids (matching [A-Za-z0-9_]+, found by
 bisection), one integer bitmask row per point and a cache.  The row
 kernel shared by canon, homotopy and classify lives here too: _drop,
-_gap, _bits, _reach and _reindex, and _run, the explicit-stack driver
-of the canonical and contractibility searches.
+_gap, _bits, _reach and _reindex, and _run, which runs the canonical
+and contractibility searches on an explicit stack.
 """
 
 from __future__ import annotations
