@@ -56,6 +56,7 @@ CANON_COMPLETE = (50, 100, 200)
 CANON_ISOLATED = (100, 200, 400)
 GROWTH, RIM_BATCHES, RIM_PASSES = 10, 15, 200
 COMPRESSIONS = (("torus16", 50), ("torus16", 100), ("torus16", 200),
+                ("torus16", 400), ("projective_plane11", 60),
                 ("minimal_sphere3", 30), ("minimal_sphere3", 50))
 CENSUS_POINTS = 9
 
@@ -167,7 +168,8 @@ def main(argv=None) -> int:
     print(json.dumps({"input": "grown_torus_rims", "points": len(torus),
                       "growth_seed": 0, "per_pass_ms": round(1000 * min(batches), 4)}),
           flush=True)
-    starts = {"torus16": dg.torus16, "minimal_sphere3": lambda: dg.minimal_sphere(3)}
+    starts = {"torus16": dg.torus16, "projective_plane11": dg.projective_plane11,
+              "minimal_sphere3": lambda: dg.minimal_sphere(3)}
     for start_name, points in COMPRESSIONS:
         M = starts[start_name]()
         rng = random.Random(points)

@@ -12,8 +12,10 @@ sphere rims and boundary points with disk rims, and is decided by the
 same cone (_cone): it must be a closed n-manifold.
 
 Sphere recognition walks the rims first: a space that is not a closed
-manifold, or is a cycle, is decided there with no canonical search, and
-only a closed manifold of dimension >= 2 goes on to the puncture test.
+manifold, a cycle, or a closed surface (a 2-sphere exactly when its
+Euler characteristic is 2) is decided there with no canonical search,
+and only a closed manifold of dimension >= 3 goes on to the puncture
+test.
 Verdicts are memoized (cache.py), with the closed-manifold dimension
 stored next to the sphere dimension, so a repeated recognize of a
 closed manifold walks no rims.  Rim-decided verdicts are kept under
@@ -80,10 +82,24 @@ def _sphere_walk(G: DigitalSpace, budget: Budget) -> tuple[int | None, int | Non
     Being a closed manifold is local, so the rims decide it before any
     canonization.  A space that is not one is no sphere; a closed
     1-manifold is a cycle of length >= 4, whose punctures are paths, so
-    it is a 1-sphere.  Both answers follow from the definitions, charge
-    no node and go to the exact tier only.  Only a closed manifold of
-    dimension >= 2 asks the buckets; on a miss it charges one node and
-    tests one puncture per automorphism orbit.
+    it is a 1-sphere; a closed 2-manifold is a 2-sphere exactly when its
+    Euler characteristic is 2.  These answers charge no node and go to
+    the exact tier only.  Only a closed manifold of dimension >= 3 asks
+    the buckets; on a miss it charges one node and tests one puncture
+    per automorphism orbit.
+
+    Why chi decides dimension 2.  A closed 2-manifold G is connected,
+    and each rim is a cycle of length >= 4, the link of its point in the
+    clique complex, so that complex is a flag triangulated closed surface.
+    (=>) If chi = 2, G is S^2 by the classification of surfaces, and
+    each puncture G - v is a flag disk.  A flag disk is contractible, by
+    induction on its points: a boundary point's rim is a path, so the
+    point is simple.  If the disk has a chord xy, take one whose side D1
+    holds no other chord; D1's boundary has a point other than x and y,
+    touched by no chord, and deleting it leaves a flag disk.  With no
+    chord, any boundary point will do.
+    (<=) A 2-sphere has chi(G) = chi(G - v) + 1 - chi(rim v) = 1 + 1 - 0
+    = 2, since G - v is contractible and rim v is a cycle.
     """
     count = len(G)
     if count == 2 and G.edge_count == 0:
@@ -95,9 +111,10 @@ def _sphere_walk(G: DigitalSpace, budget: Budget) -> tuple[int | None, int | Non
     if hit is not MISSING:
         return hit
     closed = _closed_dim(G, budget)
-    if closed is None or closed < 2:
-        _SPHERE.put_exact(G, (closed, closed))
-        return closed, closed
+    if closed is None or closed < 3:
+        n = None if closed == 2 and G.euler_characteristic() != 2 else closed
+        _SPHERE.put_exact(G, (n, closed))
+        return n, closed
     hit = _SPHERE.get(G)
     if hit is not MISSING:
         return hit

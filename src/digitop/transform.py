@@ -160,8 +160,12 @@ def compress(M: DigitalSpace, budget: Budget | None = None) -> CompressionResult
     """Contract the first available edge-disk until none remains.
 
     Each space along the way is recognized once, as a closed manifold of
-    the entry dimension.
+    the entry dimension.  The result depends on M alone, so it is kept
+    with M, as canonical forms are: compressing M again charges nothing.
     """
+    cached = M._cache.get("compression")
+    if cached is not None:
+        return cached
     budget = ensure_budget(budget)
     dim = require_closed_manifold(M, budget)
     current = M
@@ -175,7 +179,8 @@ def compress(M: DigitalSpace, budget: Budget | None = None) -> CompressionResult
                 f"contracting {interior} left no closed {dim}-manifold"
             )
         steps.append(ContractionStep(interior, boundary, fresh))
-    return CompressionResult(current, tuple(steps))
+    result = M._cache["compression"] = CompressionResult(current, tuple(steps))
+    return result
 
 
 def is_compressed(

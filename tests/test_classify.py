@@ -369,8 +369,9 @@ def test_flag_sphere_census_two_ways():
     McKay ("Fast generation of planar graphs", MATCH Commun. Math.
     Comput. Chem. 58, 2007), and every member of the closure compresses
     back to the octahedron.  Each grown closed 2-manifold, all of which
-    have chi = 2, is also one of the library's 2-spheres, so through 10
-    points chi decides 2-spheres among closed 2-manifolds."""
+    have chi = 2, is also a 2-sphere by the puncture search of
+    support.reference_sphere, so through 10 points chi decides 2-spheres
+    among closed 2-manifolds, as recognize_sphere assumes."""
     sizes = range(6, 11)
     grown = {size: set() for size in sizes}
     for rows in _grown_connected_graphs(2, sizes[-1], Budget(None)):
@@ -379,6 +380,7 @@ def test_flag_sphere_census_two_ways():
             if recognize_closed_manifold(space, Budget(None)) == 2:
                 assert space.euler_characteristic() == 2
                 assert recognize_sphere(space, Budget(None)) == 2
+                assert support.reference_sphere(space) == 2
                 grown[len(rows)].add(canonical_form(space).encoding)
     octahedron = minimal_sphere(2)
     target = canonical_form(octahedron).encoding

@@ -14,6 +14,7 @@ from digitop import (
     RecognitionResult,
     SpaceKind,
     are_isomorphic,
+    compress,
     join,
     minimal_disk,
     minimal_sphere,
@@ -106,8 +107,10 @@ def test_punctured_sphere_is_a_disk():
 
 
 def test_sphere_checks_a_puncture_in_every_orbit(monkeypatch):
-    """A sphere whose puncture fails at a later orbit only is rejected."""
-    G = support.bipyramid(5)
+    """A sphere whose puncture fails at a later orbit only is rejected.
+    Punctures run only in dimension >= 3, so G is a 3-sphere, the
+    suspension of a 2-sphere with two orbits."""
+    G = join(support.bipyramid(5), DigitalSpace(["s0", "s1"]))
     orbits = point_orbits(G)
     assert len(orbits) >= 2
     later = orbits[-1][0]
@@ -354,6 +357,35 @@ def test_require_closed_manifold_of_a_relabeled_torus_canonizes_nothing(
     budget = Budget()
     assert require_closed_manifold(torus, budget) == 2
     assert budget.spent == 0
+    assert len(calls) == 0
+
+
+def test_closed_surfaces_are_decided_by_euler_characteristic(cold_memo, monkeypatch):
+    """Every rim of a closed surface is a cycle and chi decides whether
+    it is a 2-sphere, so recognizing one, plain, grown or shuffled,
+    charges no node and runs no canonical search; nor does compressing
+    a grown torus."""
+    rng = random.Random(16)
+    surfaces, expected = [], []
+    for base, sphere in ((minimal_sphere(2), 2), (torus16(), None),
+                         (projective_plane11(), None)):
+        grown = base
+        for _ in range(8):
+            grown = r_transform(grown, *rng.choice(grown.edges))
+        surfaces += [base, grown]
+        expected += [sphere, sphere]
+    surfaces += [support.shuffled(M, rng) for M in surfaces]
+    expected += expected
+    calls = _count_searches(monkeypatch)
+    for M, sphere in zip(surfaces, expected):
+        budget = Budget()
+        assert recognize_sphere(M, budget) == sphere
+        assert recognize(M, budget).kind is (
+            SpaceKind.SPHERE if sphere else SpaceKind.CLOSED_MANIFOLD
+        )
+        assert budget.spent == 0
+    grown_torus = surfaces[3]
+    assert compress(grown_torus).steps
     assert len(calls) == 0
 
 

@@ -9,8 +9,11 @@ import pytest
 import support
 from digitop import (
     Budget,
+    BudgetExceeded,
     CompressionVerdict,
+    DigitalSpace,
     are_isomorphic,
+    complexity,
     compress,
     connected_sum,
     contract_disk,
@@ -112,6 +115,31 @@ def test_compress_matches_reference_loop_on_grown_manifolds():
             assert recognize_closed_manifold(result.space) == dim
             assert support.naive_euler(result.space) == chi
             assert find_edge_disks(result.space) == []
+
+
+def test_compress_is_kept_with_the_space():
+    """A space is compressed once: compressing it again, or asking its
+    complexity, charges nothing and answers as a fresh copy does.  A run
+    stopped by its budget keeps nothing."""
+    rng = random.Random(7)
+    M = torus16()
+    for _ in range(6):
+        M = r_transform(M, *rng.choice(M.edges))
+    cache.clear_all()
+    with pytest.raises(BudgetExceeded):
+        compress(M, Budget(1))
+    assert "compression" not in M._cache
+    first = compress(M)
+    budget = Budget()
+    assert compress(M, budget) is first
+    assert complexity(M, budget) == len(first.space)
+    assert budget.spent == 0
+    copy = DigitalSpace(M.points, M.edges)
+    cache.clear_all()
+    fresh = Budget()
+    assert compress(copy, fresh) == first
+    assert complexity(copy) == len(first.space)
+    assert fresh.spent > 0
 
 
 def test_compress_fixpoint_is_stable():
