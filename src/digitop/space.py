@@ -354,7 +354,10 @@ class DigitalSpace:
         return self.relabeled({pid: prefix + pid for pid in self._ids})
 
     def fresh_id(self, stem: str = "z") -> str:
-        """Smallest stem<k> id not already used by this space."""
+        """Smallest stem<k> id not already used by this space; the stem
+        must match [A-Za-z0-9_]*, so the id is a valid point id."""
+        if stem and not is_valid_point_id(stem):
+            raise ValueError(f"invalid id stem: {stem!r}")
         k = 0
         while f"{stem}{k}" in self:
             k += 1

@@ -280,25 +280,49 @@ def test_cycle_differs_from_two_disjoint_cycles():
     assert not are_isomorphic(twelve, two_sixes)
 
 
-# -- the search runs on an explicit stack ---------------------------------------------
+# -- the search against the properties of a canonical form ------------------------
 
 
-def _search_result(search_class, rows):
-    search = search_class(rows)
-    search.run()
-    return search.best_encoding, search.best_order, search.best_path, search.generators
+def _reindexed(rows, order) -> bytes:
+    """The encoding of rows under order, as the module docstring defines
+    it: the point count, then each row renamed by canonical position."""
+    position = {v: p for p, v in enumerate(order)}
+    width = (len(rows) + 7) // 8
+    renamed = [
+        sum(1 << position[u] for u in range(len(rows)) if rows[v] >> u & 1).to_bytes(width, "big")
+        for v in order
+    ]
+    return len(rows).to_bytes(2, "big") + b"".join(renamed)
 
 
-def test_stack_search_matches_recursive_reference():
-    """Same leaves, same best path and the same automorphisms in the same
-    order as the recursive search, on the corpus and on symmetric spaces
-    where orbit pruning and backjumps do the work."""
+def _assert_canonical(rows, rng) -> None:
+    encoding, order, generators = canon._canonical(rows)
+    n = len(rows)
+    assert sorted(order) == list(range(n))
+    assert encoding == _reindexed(rows, order)
+    for g in generators:
+        assert sorted(g) == list(range(n))
+        assert all(rows[g[v]] == sum(1 << g[u] for u in range(n) if rows[v] >> u & 1)
+                   for v in range(n)), (rows, g)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    moved = [0] * n
+    for v in range(n):
+        moved[perm[v]] = sum(1 << perm[u] for u in range(n) if rows[v] >> u & 1)
+    assert canon._canonical(moved)[0] == encoding, (rows, perm)
+
+
+def test_canonical_search_is_a_canonical_form():
+    """On the corpus and on symmetric spaces where orbit pruning and
+    backjumps do the work: the encoding is the rows under the order the
+    search returns, a random relabeling gives the same encoding, and
+    every automorphism found maps each row onto the row of its image."""
+    rng = random.Random(4)
     graphs = 0
     for rows in support.all_connected_rows(7):
         graphs += 1
-        assert _search_result(canon._Search, rows) == _search_result(support.ReferenceSearch, rows)
+        _assert_canonical(rows, rng)
     assert graphs == 996
-    rng = random.Random(4)
     for G in (
         minimal_sphere(3),
         torus16(),
@@ -308,9 +332,26 @@ def test_stack_search_matches_recursive_reference():
         _random_tree(rng, 30),
         support.random_space(rng, 25, 0.3),
     ):
-        assert _search_result(canon._Search, G._rows) == _search_result(
-            support.ReferenceSearch, G._rows
-        )
+        _assert_canonical(support.rows_of(G), rng)
+
+
+def test_golden_encodings():
+    """The encodings `digitop catalog` and `report` print, which README
+    ("Canonical encodings") says are stable within a release, plain and
+    under shuffled labels."""
+    rng = random.Random(17)
+    for G, golden in (
+        (minimal_sphere(2), "00063c3c33330f0f"),
+        (minimal_sphere(3), "0008fcfcf3f3cfcf3f3f"),
+        (torus16(), "0010fc0050cc495290b2892c33182a86864a46"
+                    "3425e0c381a055602b1a6115070c99"),
+        (projective_plane11(), "000b07800570036804e402e2061e019e0659064701b501ab"),
+        (support.path(6), "0006201018240609"),
+        (support.cycle(7), "000760140a24420911"),
+        (support.complete(5), "00051e1d1b170f"),
+    ):
+        for H in (G, support.shuffled(G, rng)):
+            assert canonical_form(H).encoding.hex() == golden, golden
 
 
 def test_deep_search_needs_no_recursion():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 import sys
 
@@ -19,7 +20,6 @@ from digitop import (
     classify_against_catalog,
     complexity,
     compress,
-    find_edge_disks,
     minimal_sphere,
     projective_plane11,
     r_transform,
@@ -132,18 +132,6 @@ def test_catalog_budget_exhaustion_is_flagged_not_raised():
     assert not cat.exhaustive
 
 
-def _manifold_encodings(graphs, n: int) -> set:
-    """Canonical encodings of the grown graphs that catalog(n, ·) keeps:
-    closed n-manifolds with no edge-disk."""
-    kept = set()
-    for rows in graphs:
-        if len(rows) >= 2 * n + 2:
-            space = support.space_from_rows(rows)
-            if recognize_closed_manifold(space) == n and not find_edge_disks(space):
-                kept.add(canonical_form(space).encoding)
-    return kept
-
-
 def _is_subsequence(part, whole) -> bool:
     rest = iter(whole)
     return all(item in rest for item in part)
@@ -153,30 +141,17 @@ def _is_subsequence(part, whole) -> bool:
     "n, max_points", [(1, 12), (2, 8), (2, 9), (3, 9), (4, 11)]
 )
 def test_catalog_growth_matches_the_full_mask_loop(n, max_points):
-    """The neighbourhood search against the loop over all 2^s masks with
-    the whole-graph prune, per tier in canonical encoding order, each
-    grown graph connected.  Which labelled copy stands for a class may
-    differ.  For n = 2 the classes are the same.  The link rule also cuts
-    the 3-cycle for n = 1, its only class that the reference keeps, and
-    edge links for n >= 3, where each tier is an ordered subsequence of
-    the reference's and the manifolds found are the same."""
+    """The neighbourhood search against the loop over all 2^s masks of
+    every graph one point smaller, filtered by brute force (the degree
+    floor, at most 2 common neighbours per n-clique, reference_link_rule):
+    the same classes per tier, in canonical encoding order, each grown
+    graph connected.  Which labelled copy stands for a class may differ."""
     grown = list(_grown_connected_graphs(n, max_points, Budget(None)))
-    reference = list(
-        support.reference_grown_connected_graphs(n, max_points, Budget(None))
-    )
     keys = [(len(rows), canonical_encoding_rows(rows)) for rows in grown]
-    expected = [(len(rows), canonical_encoding_rows(rows)) for rows in reference]
-    if n == 1:
-        triangle = (3, canonical_form(support.cycle(3)).encoding)
-        assert triangle in expected
-        expected.remove(triangle)
-    if n <= 2:
-        assert keys == expected
-    else:
-        for size in range(1, max_points + 1):
-            tier = [key for key in keys if key[0] == size]
-            assert tier and _is_subsequence(tier, expected), size
-        assert _manifold_encodings(grown, n) == _manifold_encodings(reference, n)
+    assert keys == sorted(
+        (len(rows), canonical_encoding_rows(rows))
+        for rows in support.all_connected_rows(max_points, n)
+    )
     for rows in grown:
         assert _connected(rows, range(len(rows))), rows
 
@@ -211,7 +186,7 @@ def test_designated_points_are_label_invariant():
     leaves the graph connected, and follows every relabeling."""
     rng = random.Random(10)
     for rows in support.all_connected_rows(7):
-        mask = support.reference_designated(list(rows))
+        mask = support.designated(rows)
         assert mask, rows
         for v in range(len(rows)):
             if mask >> v & 1:
@@ -226,13 +201,13 @@ def test_designated_points_are_label_invariant():
                     1 << perm[u] for u in range(len(rows)) if row >> u & 1
                 )
             image = sum(1 << perm[v] for v in range(len(rows)) if mask >> v & 1)
-            assert support.reference_designated(relabeled) == image, (rows, perm)
+            assert support.designated(relabeled) == image, (rows, perm)
 
 
 def test_new_point_designation_matches_the_reference():
     """With each point whose deletion leaves the graph connected moved to
     the end, as growth leaves its new point, the last point is designated
-    exactly when it lies in the reference's designated mask."""
+    exactly when it lies in support.designated's mask, the definition."""
     checked = 0
     for rows in support.all_connected_rows(7):
         size = len(rows)
@@ -245,7 +220,7 @@ def test_new_point_designation_matches_the_reference():
             if size > 1 and _reach(moved, 1, rest) != rest:
                 continue  # v is a cut point: no parent grows it last
             checked += 1
-            expected = support.reference_designated(moved) >> size - 1 & 1
+            expected = support.designated(moved) >> size - 1 & 1
             assert _new_point_designated(moved) == bool(expected), (rows, v)
     assert checked > 1000
 
@@ -268,38 +243,59 @@ def test_augmentation_search_needs_no_recursion():
     assert [candidate[-1] for candidate in grown] == [1, 1 | 1 << size - 1]
 
 
+def _fits_on_a_cycle(rows, v) -> bool:
+    """By brute force over cyclic orders: can the rim of v sit inside a
+    cycle of >= 4 points as an induced subgraph?  Its edges must join
+    points next to each other in the order; new points can fill each gap
+    between two points that are not adjacent, so only a rim that is a
+    whole cycle needs 4 points of its own."""
+    rim = [u for u in range(len(rows)) if rows[v] >> u & 1]
+    edges = {frozenset(e) for e in itertools.combinations(rim, 2) if rows[e[0]] >> e[1] & 1}
+    if len(rim) <= 2:
+        return True
+    if any(sum(u in e for e in edges) > 2 for u in rim):
+        return False  # a point on a cycle has two neighbours
+    for order in itertools.permutations(rim[1:]):
+        ring = [rim[0], *order]
+        steps = {frozenset(step) for step in zip(ring, ring[1:] + ring[:1])}
+        if edges <= steps and (edges != steps or len(rim) >= 4):
+            return True
+    return False
+
+
 def test_rim_check_matches_the_reference():
+    """reference_rim_extends_to_cycle, on which reference_link_rule and so
+    the growth oracles rest, against placing the rim on a cycle."""
     for rows in support.all_connected_rows(7):
         rows = list(rows)
         for v in range(len(rows)):
-            expected = support.reference_rim_extends_to_cycle(rows, v)
-            assert support.reference_leaf_rim_check(rows, v) == expected, (rows, v)
+            expected = _fits_on_a_cycle(rows, v)
+            assert support.reference_rim_extends_to_cycle(rows, v) == expected, (rows, v)
 
 
-def test_augmentations_match_the_leaf_rim_walk():
-    """Against the search that re-walked every changed rim at each
-    complete mask, with the tier's generators: for n = 2 the same
-    candidates in the same order, and for n = 1 and n = 3, where the link
-    rule also cuts the 3-cycle and edge links, an ordered subsequence.
-    The search relies on rows having passed the rule one point earlier,
-    as every grown parent has, so only graphs whose links all hold
-    (support.reference_link_rule) are compared."""
+def test_augmentations_match_the_brute_force_mask_filter():
+    """Against every mask filtered by brute force, with the tier's
+    generators: for n = 1 and n = 2 the same candidates in the same
+    order.  For n = 3 the brute force is an ordered subsequence: the
+    search checks each link as a point joins, and lets through a link
+    that an old point's rim closes into a cycle with another point
+    beside it.  The search relies on rows having passed the rule one
+    point earlier, as every grown parent has, so only graphs whose links
+    all hold (support.links_hold) are compared."""
     compared = 0
     for rows in support.all_connected_rows(7):
         rows = list(rows)
         generators = canon._canonical(rows)[2]
         for n in (1, 2, 3):
-            if not support.reference_link_rule(rows, n):
+            if not support.links_hold(rows, n):
                 continue
             for remaining in range(5):
-                expected = support.reference_augmentations(
-                    rows, n, remaining, Budget(None), generators
-                )
+                expected = support.extensions_by_masks(rows, n, remaining, generators)
                 grown = _augmentations(rows, n, remaining, Budget(None), generators)
-                if n == 2:
+                if n < 3:
                     assert grown == expected, (rows, remaining)
                 else:
-                    assert _is_subsequence(grown, expected), (rows, n, remaining)
+                    assert _is_subsequence(expected, grown), (rows, n, remaining)
                 compared += bool(grown)
     assert compared > 1000
 

@@ -35,6 +35,7 @@ from digitop import (
     torus16,
 )
 from digitop import Budget, cache, canon, homotopy
+from digitop.canon import canonical_encoding_rows
 
 
 def test_contractible_examples():
@@ -375,36 +376,69 @@ def test_contractible_witness_steps_are_pinned():
     ]
 
 
-# -- the incremental search against the search that rebuilds every level ----------
-
-
-def _clear_memos():
-    cache.clear_all()
-    support._REFERENCE_CONTRACTIBLE.clear()
+# -- the search against the definition and the documented prune order ----------------
 
 
 @pytest.fixture
 def cold_memo():
-    _clear_memos()
+    cache.clear_all()
     yield
-    _clear_memos()
+    cache.clear_all()
 
 
-def _assert_same_search(G):
-    ours, theirs = Budget(), Budget()
-    assert is_contractible(G, ours) == support.reference_contractible(G, theirs)
-    assert ours.spent == theirs.spent, G.points
+def _definition(G) -> bool:
+    """Contractible by the literal definition; chi != 1 rules a space out
+    first, as no contractible space has another chi."""
+    return support.naive_euler(G) == 1 and support.naive_contractible_rows(support.rows_of(G))
+
+
+_ENCODINGS: dict[tuple[int, ...], bytes] = {}
+
+
+def _subset_classes(G) -> int:
+    """Isomorphism classes of G's connected induced subspaces with two or
+    more points.  Every space the search meets (the root, a rim, a rim of
+    a deletion, a deletion) is one, and the memo charges a class once."""
+    rows = support.rows_of(G)
+    classes = set()
+    for mask in range(1, 1 << len(rows)):
+        if mask.bit_count() > 1 and support.connected(rows, mask):
+            sub = support.sub_rows(rows, mask)
+            if sub not in _ENCODINGS:
+                _ENCODINGS[sub] = canonical_encoding_rows(sub)
+            classes.add(_ENCODINGS[sub])
+    return len(classes)
+
+
+def _assert_cold_search(G) -> int:
+    """A cold search gives the definition's verdict and charges as the
+    prune order (a)-(f) in homotopy.py says: nothing for one point or a
+    disconnected space, one node for a cone or a space with chi != 1,
+    and otherwise one node for the space and at most one per class it
+    meets.  Returns the charge."""
+    cache.clear_all()
+    budget = Budget()
+    assert is_contractible(G, budget) == _definition(G), G.points
+    if len(G) <= 1 or not G.is_connected():
+        assert budget.spent == 0, G.points
+    elif G.dominating_point() is not None or support.naive_euler(G) != 1:
+        assert budget.spent == 1, G.points
+    else:
+        assert 1 < budget.spent <= _subset_classes(G), G.points
+    return budget.spent
 
 
 def test_search_matches_reference_on_corpus(cold_memo):
     corpus = list(support.all_connected_rows(7))
-    for rows in corpus:
-        _clear_memos()
-        _assert_same_search(support.space_from_rows(rows))
-    _clear_memos()
-    # fresh spaces, so stored entries are canonized lazily on collision
-    for rows in corpus:
-        _assert_same_search(support.space_from_rows(rows))
+    cold = [_assert_cold_search(support.space_from_rows(rows)) for rows in corpus]
+    cache.clear_all()
+    # fresh spaces, so stored entries are canonized lazily on collision; a
+    # warm search meets only what a cold one met
+    for rows, charged in zip(corpus, cold):
+        G = support.space_from_rows(rows)
+        budget = Budget()
+        assert is_contractible(G, budget) == _definition(G)
+        assert budget.spent <= charged, G.points
 
 
 def _punctured_grown(seed: int) -> list[DigitalSpace]:
@@ -424,30 +458,39 @@ def _punctured_grown(seed: int) -> list[DigitalSpace]:
 
 @pytest.mark.parametrize("seed", range(3))
 def test_search_matches_reference_on_punctured_grown_manifolds(cold_memo, seed):
+    """Cold searches follow the definition and the prune order; warm, a
+    relabeled copy of the space just decided charges nothing."""
     spaces = _punctured_grown(seed)
-    _clear_memos()
     for G in spaces:
-        _assert_same_search(G)
-        _assert_same_search(G.relabeled({v: "x" + v for v in G.points}))
+        _assert_cold_search(G)
+    cache.clear_all()
+    for G in spaces:
+        assert is_contractible(G) == _definition(G)
+        budget = Budget()
+        copy = G.relabeled({v: "x" + v for v in G.points})
+        assert is_contractible(copy, budget) == _definition(G)
+        assert budget.spent == 0, G.points
 
 
 def test_reduction_matches_rescanning_reference():
-    """Skipping points whose rims did not change keeps every step list."""
+    """Skipping points whose rims did not change keeps every step list of
+    the greedy sweeps as reduce_space states them, each rim decided by the
+    literal definition."""
     spaces = [support.space_from_rows(rows) for rows in support.all_connected_rows(7)]
     for seed in range(3):
         spaces += _punctured_grown(seed)
     for G in spaces:
         steps = reduce_space(G).trace.steps
-        assert list(steps) == support.reference_delete_steps(G), G.points
+        assert list(steps) == support.literal_delete_steps(G), G.points
 
 
 def test_search_survives_memo_overflow(cold_memo, monkeypatch):
     """Tables dropped mid-search may change the charges, never a verdict."""
     spaces = _punctured_grown(0)
-    _clear_memos()
+    cache.clear_all()
     monkeypatch.setattr(cache, "CAPACITY", 3)
     for G in spaces:
-        assert is_contractible(G) == support.reference_contractible(G)
+        assert is_contractible(G) == _definition(G)
     for (name, strategy), steps in _PINNED_REDUCTIONS.items():
         M = {"torus16": torus16, "projective_plane11": projective_plane11}[name]()
         result = reduce_space(M.delete_points([M.points[0]]), strategy)
@@ -534,7 +577,7 @@ def test_small_capacity_keeps_verdicts_and_empties_both_tiers(cold_memo, monkeyp
     spaces = [support.random_space(rng, 7) for _ in range(40)]
     spaces += [support.shuffled(G, rng) for G in spaces]
     for G in spaces + spaces:
-        assert is_contractible(G) == support.reference_contractible(G)
+        assert is_contractible(G) == _definition(G)
         assert len(table) <= cache.CAPACITY
     table.clear()
     paths = [support.path(k) for k in range(2, 8)]

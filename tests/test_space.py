@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 import support
 from digitop import (
     BudgetExceeded,
+    CliqueVector,
     DigitalSpace,
     join,
     minimal_sphere,
@@ -173,6 +175,11 @@ def test_fresh_id_avoids_collisions():
     # z1 and z10 are a prefix pair; z10 is taken, so stem z1 goes on to z11
     assert DigitalSpace(["z1", "z10"]).fresh_id("z1") == "z11"
     assert DigitalSpace(["a", "y", "zz"]).fresh_id() == "z0"
+    # every id it returns is a valid point id; the empty stem gives "0"
+    assert DigitalSpace(["a"]).fresh_id("") == "0"
+    for stem in ("x-", "a b", "é"):
+        with pytest.raises(ValueError):
+            DigitalSpace(["a"]).fresh_id(stem)
 
 
 def test_connectivity():
@@ -250,7 +257,7 @@ def test_minimal_sphere_euler():
         assert minimal_sphere(n).euler_characteristic() == (2 if n % 2 == 0 else 0)
 
 
-# -- the row kernel against the code it replaced ------------------------------------
+# -- the row kernel against the checked constructor and brute force ---------------
 
 
 def _grown_manifolds():
@@ -262,18 +269,24 @@ def _grown_manifolds():
 
 
 def test_reindex_matches_the_encode_order_reference():
+    """_reindex against the checked constructor: naming point order[p]
+    so that it sorts to position p gives the same rows."""
     rng = random.Random(5)
     for rows in support.all_connected_rows(7):
         order = list(range(len(rows)))
         for _ in range(3):
             rng.shuffle(order)
+            names = {v: f"q{p:02d}" for p, v in enumerate(order)}
+            renamed = DigitalSpace(names.values(), [
+                (names[v], names[u]) for v in order for u in order if rows[v] >> u & 1
+            ])
             full = (1 << len(rows)) - 1
-            assert space._reindex(rows, order, full) == list(
-                support.reference_encode_order(rows, order)
-            )
+            assert tuple(space._reindex(rows, order, full)) == support.rows_of(renamed)
 
 
 def test_induced_subspace_and_add_point_match_the_references():
+    """Subspaces and added points against the same spaces built by the
+    checked constructor from point and edge lists."""
     rng = random.Random(6)
     for M in _grown_manifolds():
         n = len(M)
@@ -281,19 +294,22 @@ def test_induced_subspace_and_add_point_match_the_references():
             mask = rng.getrandbits(n)
             chosen = [p for i, p in enumerate(M.points) if mask >> i & 1]
             sub = M.induced_subspace(chosen)
-            ref = support.reference_induced_by_mask(M, mask)
-            assert (sub.points, sub._rows) == (ref.points, ref._rows)
+            assert sub == DigitalSpace(chosen, [e for e in M.edges if set(e) <= set(chosen)])
         for pid in ("a0", "p0b", "v05x", "z", "zz9", M.fresh_id(), M.fresh_id("p")):
             if pid in M:
                 continue
             nbrs = rng.sample(M.points, rng.randint(0, n))
             grown = M.add_point(pid, nbrs)
-            ref = support.reference_add_point(M, pid, nbrs)
-            assert (grown.points, grown._rows) == (ref.points, ref._rows)
+            edges = M.edges + tuple((pid, q) for q in nbrs)
+            assert grown == DigitalSpace(M.points + (pid,), edges)
 
 
-def test_clique_vector_matches_the_recursive_reference():
-    spaces = [support.space_from_rows(rows) for rows in support.all_connected_rows(7)]
-    spaces += [minimal_sphere(n) for n in range(8)]
-    for G in spaces:
-        assert G.clique_vector() == support.reference_clique_vector(G)
+def test_clique_vector_matches_brute_force_counts():
+    """Clique counts against combinations of points, and for the minimal
+    n-sphere, the join of n + 1 two-point spaces, against C(n+1, k) 2^k."""
+    for rows in support.all_connected_rows(7):
+        G = support.space_from_rows(rows)
+        assert G.clique_vector() == CliqueVector(support.naive_clique_counts(G))
+    for n in range(8):
+        expected = tuple(math.comb(n + 1, k) * 2**k for k in range(1, n + 2))
+        assert minimal_sphere(n).clique_vector() == CliqueVector(expected)
