@@ -25,8 +25,13 @@ drawn with random.Random(points) until it has that many points, clears
 the memo tables and runs compress, and prints wall_s, nodes, canon_calls,
 subspaces (induced subspaces built, counted by wrapping
 DigitalSpace._induced_by_mask), the number of contraction steps and the
-final point count.  The last row is the connected-graph census:
-catalog growth with n = 0, where the link rule cuts nothing, through
+final point count.  Then, for each size in RELABELED, it grows
+minimal_sphere(3) the same way to that many points, clears the memo
+tables, and runs recognize once cold and then on RELABELED_COPIES
+copies under shuffled labels, warm; it prints one row per phase with
+the number of queries, the kinds recognized, and wall_s, nodes and
+canon_calls summed over the phase.  The last row is the connected-graph
+census: catalog growth with n = 0, where the link rule cuts nothing, through
 CENSUS_POINTS points, unbounded, with the number of graphs per point
 count (OEIS A001349: 1, 1, 2, 6, 21, 112, 853, 11117, 261080), wall_s,
 nodes and canon_calls.  --src picks the digitop sources to import
@@ -58,6 +63,7 @@ GROWTH, RIM_BATCHES, RIM_PASSES = 10, 15, 200
 COMPRESSIONS = (("torus16", 50), ("torus16", 100), ("torus16", 200),
                 ("torus16", 400), ("projective_plane11", 60),
                 ("minimal_sphere3", 30), ("minimal_sphere3", 50))
+RELABELED, RELABELED_COPIES = (30, 50), 5
 CENSUS_POINTS = 9
 
 
@@ -186,6 +192,27 @@ def main(argv=None) -> int:
                           "canon_calls": calls[0], "subspaces": subspaces[0],
                           "steps": len(result.steps),
                           "final_points": len(result.space)}), flush=True)
+    for points in RELABELED:
+        M = dg.minimal_sphere(3)
+        rng = random.Random(points)
+        while len(M) < points:
+            M = dg.r_transform(M, *rng.choice(M.edges))
+        copies = []
+        for _ in range(RELABELED_COPIES):
+            names = [f"r{i:03d}" for i in range(len(M))]
+            rng.shuffle(names)
+            copies.append(M.relabeled(dict(zip(M.points, names))))
+        dg.cache.clear_all()
+        for phase, spaces in (("cold", [M]), ("warm", copies)):
+            calls[0] = 0
+            budget = dg.Budget()
+            start = time.perf_counter()
+            kinds = {dg.recognize(space, budget).kind.value for space in spaces}
+            wall = time.perf_counter() - start
+            print(json.dumps({"input": "relabeled_repeat", "n": points, "phase": phase,
+                              "queries": len(spaces), "kinds": sorted(kinds),
+                              "wall_s": round(wall, 4), "nodes": budget.spent,
+                              "canon_calls": calls[0]}), flush=True)
     calls[0] = 0
     budget = dg.Budget(None)
     tiers = [0] * CENSUS_POINTS

@@ -8,8 +8,8 @@ contractible when simple-point deletions alone can shrink it to a
 single point.
 
 is_contractible decides that by backtracking over simple-point
-deletions, memoized per isomorphism class (cache.py), with sound prunes
-evaluated in a fixed order:
+deletions, memoized under each space's rows (cache.py), with sound
+prunes evaluated in a fixed order:
 
   (a) one point: contractible
   (b) disconnected: not contractible

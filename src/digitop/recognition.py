@@ -16,10 +16,10 @@ manifold, a cycle, or a closed surface (a 2-sphere exactly when its
 Euler characteristic is 2) is decided there with no canonical search,
 and only a closed manifold of dimension >= 3 goes on to the puncture
 test.
-Verdicts are memoized (cache.py), with the closed-manifold dimension
-stored next to the sphere dimension, so a repeated recognize of a
-closed manifold walks no rims.  Rim-decided verdicts are kept under
-their rows only; the puncture-tested ones per isomorphism class.
+Verdicts are memoized under the space's rows (cache.py), with the
+closed-manifold dimension stored next to the sphere dimension, so a
+repeated recognize of a closed manifold under the same labels walks no
+rims.
 Punctured-space checks only need one representative per automorphism
 orbit, which is what makes the highly symmetric minimal spheres cheap
 to certify.
@@ -83,10 +83,10 @@ def _sphere_walk(G: DigitalSpace, budget: Budget) -> tuple[int | None, int | Non
     canonization.  A space that is not one is no sphere; a closed
     1-manifold is a cycle of length >= 4, whose punctures are paths, so
     it is a 1-sphere; a closed 2-manifold is a 2-sphere exactly when its
-    Euler characteristic is 2.  These answers charge no node and go to
-    the exact tier only.  Only a closed manifold of dimension >= 3 asks
-    the buckets; on a miss it charges one node and tests one puncture
-    per automorphism orbit.
+    Euler characteristic is 2.  These answers charge no node.  Only a
+    closed manifold of dimension >= 3 charges one node and tests one
+    puncture per automorphism orbit.  One memo lookup under G's rows
+    comes first, and every verdict is stored there.
 
     Why chi decides dimension 2.  A closed 2-manifold G is connected,
     and each rim is a cycle of length >= 4, the link of its point in the
@@ -107,23 +107,19 @@ def _sphere_walk(G: DigitalSpace, budget: Budget) -> tuple[int | None, int | Non
     if count < 4:
         # no sphere besides S0, and no closed manifold, has fewer than four points
         return None, None
-    hit = _SPHERE.get_exact(G)
+    hit = _SPHERE.get(G)
     if hit is not MISSING:
         return hit
     closed = _closed_dim(G, budget)
     if closed is None or closed < 3:
         n = None if closed == 2 and G.euler_characteristic() != 2 else closed
-        _SPHERE.put_exact(G, (n, closed))
-        return n, closed
-    hit = _SPHERE.get(G)
-    if hit is not MISSING:
-        return hit
-    budget.charge()
-    punctures_contractible = all(
-        is_contractible(G.delete_points([orbit[0]]), budget)
-        for orbit in point_orbits(G)
-    )
-    n = closed if punctures_contractible else None
+    else:
+        budget.charge()
+        punctures_contractible = all(
+            is_contractible(G.delete_points([orbit[0]]), budget)
+            for orbit in point_orbits(G)
+        )
+        n = closed if punctures_contractible else None
     _SPHERE.put(G, (n, closed))
     return n, closed
 

@@ -336,8 +336,8 @@ def reference_refine(rows, cells: list[list[int]]) -> list[list[int]]:
 
 class EncodingTable:
     """A memo table keyed only by canonical encoding: one canonical search
-    per lookup, no tiers.  Swapped in for the library's tables, it gives
-    the verdicts and charges that every lookup tier must reproduce."""
+    per lookup.  Swapped in for the library's tables, it gives the
+    verdicts that a memo keyed any other way must reproduce."""
 
     def __init__(self):
         self._table: dict[bytes, object] = {}
@@ -347,8 +347,6 @@ class EncodingTable:
 
     def put(self, space, value) -> None:
         self._table[canonical_form(space).encoding] = value
-
-    get_exact, put_exact = get, put
 
     def clear(self) -> None:
         self._table.clear()

@@ -324,8 +324,8 @@ def cold_memo():
 
 
 def test_warm_recognize_of_a_closed_manifold_walks_no_rims(cold_memo, monkeypatch):
-    """The memo stores the closed dimension, and the exact tier finds the
-    rebuilt torus by its rows, so a repeat canonizes nothing."""
+    """The memo stores the closed dimension, and finds the rebuilt torus
+    by its rows, so a repeat canonizes nothing."""
     assert recognize(torus16()) == RecognitionResult(SpaceKind.CLOSED_MANIFOLD, 2)
     calls = []
     original = canon._canonical
@@ -430,8 +430,8 @@ def test_closed_surfaces_are_decided_by_euler_characteristic(cold_memo, monkeypa
 
 
 def _corpus_passes(corpus):
-    """The corpus as fresh spaces: for a cold pass, a warm pass, a warm
-    pass under the same labels and one under shuffled labels."""
+    """The corpus as fresh spaces: for a first pass from empty tables, two
+    warm passes under the same labels and one under shuffled labels."""
     rng = random.Random(8)
     passes = [[support.space_from_rows(rows) for rows in corpus] for _ in range(3)]
     passes.append([support.shuffled(support.space_from_rows(rows), rng) for rows in corpus])
@@ -440,13 +440,12 @@ def _corpus_passes(corpus):
 
 def _verdicts(passes, tables):
     """(recognize, is_contractible) verdicts with their charges; the tables
-    are cleared before every space of the first pass, and then never."""
+    are cleared before the first pass, and then never."""
+    for table in tables:
+        table.clear()
     out = []
-    for number, spaces in enumerate(passes):
+    for spaces in passes:
         for G in spaces:
-            if number == 0:
-                for table in tables:
-                    table.clear()
             kind, contractible = Budget(), Budget()
             out.append((
                 recognize(G, kind), kind.spent,
@@ -455,11 +454,11 @@ def _verdicts(passes, tables):
     return out
 
 
-def test_memo_tiers_match_a_table_keyed_by_encoding(cold_memo, monkeypatch):
-    """The exact tier and the buckets give the verdicts of the literal
-    definitions and the charges of a table keyed by canonical encoding
-    alone, cold, warm, warm under the same labels and warm under shuffled
-    labels."""
+def test_memo_verdicts_match_a_table_keyed_by_encoding(cold_memo, monkeypatch):
+    """The rows-keyed memo gives the verdicts of the literal definitions
+    and of a table keyed by canonical encoding alone on all four passes.
+    The two warm passes under the first pass's labels find every space by
+    its rows, so they charge nothing."""
     corpus = list(support.all_connected_rows(7))
     passes = _corpus_passes(corpus)
     # the first three passes share labels, so they share the verdicts
@@ -471,9 +470,12 @@ def test_memo_tiers_match_a_table_keyed_by_encoding(cold_memo, monkeypatch):
         for spaces in (passes[0], passes[3])
     )
     expected = cold * 3 + shuffled
-    tiered = _verdicts(_corpus_passes(corpus), [recognition._SPHERE, homotopy._CONTRACTIBLE])
-    assert [(kind, contractible) for kind, _, contractible, _ in tiered] == expected
+    memo = _verdicts(_corpus_passes(corpus), [recognition._SPHERE, homotopy._CONTRACTIBLE])
+    assert [(kind, contractible) for kind, _, contractible, _ in memo] == expected
+    warm = memo[len(corpus):3 * len(corpus)]
+    assert [(row[1], row[3]) for row in warm] == [(0, 0)] * len(warm)
     sphere, contractible = support.EncodingTable(), support.EncodingTable()
     monkeypatch.setattr(recognition, "_SPHERE", sphere)
     monkeypatch.setattr(homotopy, "_CONTRACTIBLE", contractible)
-    assert tiered == _verdicts(_corpus_passes(corpus), [sphere, contractible])
+    table = _verdicts(_corpus_passes(corpus), [sphere, contractible])
+    assert [(kind, contractible) for kind, _, contractible, _ in table] == expected
