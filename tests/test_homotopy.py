@@ -537,20 +537,35 @@ def test_repeat_query_canonizes_nothing(cold_memo, monkeypatch):
     assert len(calls) == 0
 
 
-def test_lookups_of_plain_and_shuffled_spaces_canonize_nothing(cold_memo, monkeypatch):
-    """The memo is keyed by rows, so no lookup runs a canonical search:
-    not a cold one, not a warm repeat, and not a relabeled copy, which
-    misses and is decided again."""
+def test_relabeled_copy_is_searched_again_then_hits_the_memo(cold_memo):
+    """The memo is keyed by rows, so a relabeled copy of a known space
+    misses and is decided again; its own rows are then recorded, so asking
+    about the copy again costs nothing."""
     rng = random.Random(5)
-    spaces = [support.random_tree(rng, 40), support.wheel(7).delete_points(["c0"]),
-              support.cycle(8)]
-    spaces += [support.shuffled(G, rng) for G in spaces]
-    expected = [_definition(G) for G in spaces]
+    for G in (support.random_tree(rng, 40), support.wheel(7).delete_points(["c0"])):
+        assert is_contractible(G)
+        copy = support.shuffled(G, rng)
+        assert copy._rows != G._rows
+        budget = Budget()
+        assert is_contractible(copy, budget)
+        assert budget.spent > 0
+        budget = Budget()
+        assert is_contractible(copy, budget)
+        assert budget.spent == 0
+
+
+def test_shuffled_repeat_canonizes_nothing(cold_memo, monkeypatch):
+    """No lookup runs a canonical search: not the miss of a relabeled
+    copy, and not its warm repeat."""
+    cycle = support.cycle(8)
+    assert not is_contractible(cycle)
     calls = []
     original = canon._canonical
     monkeypatch.setattr(canon, "_canonical", lambda rows: calls.append(1) or original(rows))
+    copy = support.shuffled(cycle, random.Random(3))
+    assert copy._rows != cycle._rows
     for _ in range(2):
-        assert [is_contractible(G) for G in spaces] == expected
+        assert not is_contractible(copy)
     assert calls == []
 
 
