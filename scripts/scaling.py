@@ -3,40 +3,41 @@
 
     python3 scripts/scaling.py [--src DIR]
 
-For each size n in SIZES it runs is_contractible on path(n) and on a seeded
-random tree with n points, each with the memo tables cleared first, and
-prints one JSON row per run: input, n, wall_s, nodes (budget charged)
-and canon_calls (canonical searches, counted by wrapping
-digitop.canon._canonical).  The next row holds the log-log slope of
-wall_s over the sizes of at least 100 points, per input, computed by
-bench/tracing.py's loglog_slope.  Then it runs catalog(n, max_points)
-for each pair in CATALOGS, memo cleared, with the default catalog budget,
-and prints the same fields plus exhaustive and the entry count.  Then it
-runs is_contractible on the complete graph with n points for each n in
-CONES, memo cleared, and prints wall_s and nodes, or the exception the
-call raised.  Then it runs canonical_form on the complete graph with n
-points for each n in CANON_COMPLETE and on n isolated points for each n
-in CANON_ISOLATED, the searches one level per point deep, and prints
-wall_s and canon_calls.  The next row times building the rim of every
-point of torus16 grown by GROWTH seeded R-transforms: the fastest of
-RIM_BATCHES batches of RIM_PASSES passes, in ms per pass.  Then, for each (start,
-points) in COMPRESSIONS, it grows that manifold by R-transforms on edges
-drawn with random.Random(points) until it has that many points, clears
-the memo tables and runs compress, and prints wall_s, nodes, canon_calls,
-subspaces (induced subspaces built, counted by wrapping
-DigitalSpace._induced_by_mask), the number of contraction steps and the
-final point count.  Then, for each size in RELABELED, it grows
-minimal_sphere(3) the same way to that many points, clears the memo
-tables, and runs recognize once cold and then on RELABELED_COPIES
-copies under shuffled labels, warm; it prints one row per phase with
-the number of queries, the kinds recognized, and wall_s, nodes and
-canon_calls summed over the phase.  The last row is the connected-graph
-census: catalog growth with n = 0, where the link rule cuts nothing, through
-CENSUS_POINTS points, unbounded, with the number of graphs per point
-count (OEIS A001349: 1, 1, 2, 6, 21, 112, 853, 11117, 261080), wall_s,
-nodes and canon_calls.  --src picks the digitop sources to import
-(default: src/ next to this script), so two checkouts can be compared
-with the same script.  Standard library only.
+For each size n in SIZES it runs is_contractible on path(n) and on a
+seeded random tree with n points, each with the memo tables cleared
+first, and prints one JSON row per run: input, n, wall_s, nodes (budget
+charged), canon_calls (canonical searches, counted by wrapping
+digitop.canon._canonical) and subspaces (induced subspaces built,
+counted by wrapping DigitalSpace._induced_by_mask).  The next row holds
+the log-log slope of wall_s over the sizes of at least 100 points, per
+input, computed by bench/tracing.py's loglog_slope.  Then it runs
+catalog(n, max_points) for each pair in CATALOGS, memo cleared, with the
+default catalog budget, and prints the same fields plus exhaustive and
+the entry count.  Then it runs is_contractible on the complete graph
+with n points for each n in CONES, memo cleared, and prints wall_s and
+nodes, or the exception the call raised.  Then it runs canonical_form on
+the complete graph with n points for each n in CANON_COMPLETE and on n
+isolated points for each n in CANON_ISOLATED, the searches one level per
+point deep, and prints wall_s and canon_calls.  The next row times
+building the rim of every point of torus16 grown by GROWTH seeded
+R-transforms: the fastest of RIM_BATCHES batches of RIM_PASSES passes,
+in ms per pass.  Then, for each (start, points) in COMPRESSIONS, it
+grows that manifold by R-transforms on edges drawn with
+random.Random(points) until it has that many points, clears the memo
+tables and runs compress, and prints wall_s, nodes, canon_calls,
+subspaces, the number of contraction steps and the final point count.
+Then, for each size in RELABELED, it grows minimal_sphere(3) the same
+way to that many points, clears the memo tables, and runs recognize once
+cold and then on RELABELED_COPIES copies under shuffled labels, warm; it
+prints one row per phase with the number of queries, the kinds
+recognized, and wall_s, nodes and canon_calls summed over the phase.
+The last row is the connected-graph census: catalog growth with n = 0,
+where the link rule cuts nothing, through CENSUS_POINTS points,
+unbounded, with the number of graphs per point count (OEIS A001349: 1,
+1, 2, 6, 21, 112, 853, 11117, 261080), wall_s, nodes and canon_calls.
+--src picks the digitop sources to import (default: src/ next to this
+script), so two checkouts can be compared with the same script.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -109,14 +110,15 @@ def main(argv=None) -> int:
         for n in SIZES:
             space = build(dg, n)
             dg.cache.clear_all()
-            calls[0] = 0
+            calls[0] = subspaces[0] = 0
             budget = dg.Budget()
             start = time.perf_counter()
             verdict = dg.is_contractible(space, budget)
             wall = time.perf_counter() - start
             print(json.dumps({"input": name, "n": n, "wall_s": round(wall, 4),
                               "nodes": budget.spent, "canon_calls": calls[0],
-                              "contractible": verdict}), flush=True)
+                              "subspaces": subspaces[0], "contractible": verdict}),
+                  flush=True)
             if n >= 100:
                 slopes.setdefault(name, []).append((n, wall))
     print(json.dumps({"loglog_slope_n_ge_100": {

@@ -3,14 +3,16 @@
 Contractibility and sphere recognition both recurse through rims and
 punctured spaces, and the same small spaces appear over and over, so
 results are memoized.  A table is a dict from a space's rows to its
-value: equal rows are the same graph on the same positions, so a lookup
-costs one tuple hash and runs no canonical search.  The repeats come
-under the same labels: recognition meets every rim of a rebuilt
-manifold again, and contractibility meets the same rims and the same
-deletions (G - u - v is G - v - u) down different branches.  A
-relabeled copy of a space the table holds has other rows, so it misses
-and is decided again.  Entries keep rows, not spaces: a stored space
-would keep its point ids and caches alive.
+value, and callers pass that rows tuple: the contractibility search
+holds nothing else (its levels are rows, not spaces), and recognition
+passes a space's _rows.  Equal rows are the same graph on the same
+positions, so a lookup costs one tuple hash and runs no canonical
+search.  The repeats come under the same labels: recognition meets
+every rim of a rebuilt manifold again, and contractibility meets the
+same rims and the same deletions (G - u - v is G - v - u) down
+different branches.  A relabeled copy of a space the table holds has
+other rows, so it misses and is decided again.  Entries keep rows, not
+spaces: a stored space would keep its point ids and caches alive.
 
 Tables are capped at CAPACITY rows; on overflow the whole table is
 dropped, which keeps the code free of eviction bookkeeping while
@@ -32,13 +34,13 @@ class FormCache:
         self._table: dict = {}
         _REGISTRY.append(self)
 
-    def get(self, space):
-        return self._table.get(space._rows, MISSING)
+    def get(self, rows: tuple[int, ...]):
+        return self._table.get(rows, MISSING)
 
-    def put(self, space, value) -> None:
+    def put(self, rows: tuple[int, ...], value) -> None:
         if len(self._table) >= CAPACITY:
             self.clear()
-        self._table[space._rows] = value
+        self._table[rows] = value
 
     def clear(self) -> None:
         self._table.clear()

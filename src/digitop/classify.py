@@ -13,7 +13,8 @@ inside an n-manifold of size <= N, one per orbit of the parent's
 discovered automorphisms.  One link rule, the same in every dimension,
 decides that (see _augmentations): every n-clique has at most 2 common
 neighbours, and the link of every (n-1)-clique is disjoint paths or one
-whole cycle of >= 4 points.
+whole cycle of >= 4 points.  For n >= 3 growth checks the second half
+only in part, and recognition drops what it lets through.
 As in McKay's canonical augmentation ("Isomorph-free exhaustive
 generation", J. Algorithms 26, 1998), a grown graph is kept only when
 its new point is designated, a label-invariant choice of the points it
@@ -226,11 +227,16 @@ def _augmentations(
     and one link rule cuts a partial mask: in a closed flag n-manifold
     every n-clique has exactly 2 common neighbours and the link (common
     neighbourhood) of every (n-1)-clique is one cycle of >= 4 points.  So
-    no n-clique may gain a third common neighbour, and each link that p
-    changes must stay disjoint paths or close into one such cycle, whole;
-    a point whose n-cliques all have 2 common neighbours never joins.
-    rows must have passed this test with remaining + 1, so only what p
-    changes is checked, as each point joins (see _may_join).
+    no n-clique may gain a third common neighbour, and a point whose
+    n-cliques all have 2 common neighbours never joins.  rows must have
+    passed this test with remaining + 1, so only what p changes is
+    checked, as each point v joins (see _may_join): each old link that p
+    or v enters must stay disjoint paths or close into one such cycle,
+    whole.  For n = 2 that is every link p changes, p's own included.
+    For n >= 3 the link of a new (n-1)-clique through both p and v, such
+    as the edge pv when n = 3, is only held to at most 2 neighbours per
+    point: it may be a cycle with other points beside it.  Such a graph
+    extends to no manifold, and recognition drops it later.
 
     A surviving mask that one of the generators, automorphisms of rows,
     maps to a smaller one is dropped: that graph is isomorphic and comes
@@ -284,7 +290,23 @@ def _augmentations(
 def _may_join(rows: list[int], n: int, v: int, mask: int) -> int:
     """Can point v join the partial mask, giving the new point p the
     neighbour v, under the link rule of _augmentations?  0 if not, 2 if
-    it closes p's own link, the mask, into a cycle (n = 2), else 1."""
+    it closes p's own link, the mask, into a cycle (n = 2), else 1.
+
+    With common the points of the mask adjacent to v, it checks:
+    - per (n-1)-clique F in common, the n-clique F + v had at most one
+      common neighbour, and p enters link(F) next to at most 2 points,
+      which lie on different paths of link(F) or close all of it, >= 3
+      points, into a cycle (_link);
+    - per (n-2)-clique G in common, p enters link(v + G) and v enters
+      link(p + G), each next to the points of link(G) in common: at most
+      2, closing in both links as above.
+    For n = 2, G is the empty clique, so the second check holds the edge
+    pv to at most 2 common neighbours, and its closure of the mask is the
+    2 returned.  For n >= 3 the link of a new (n-1)-clique through p and
+    v (common itself when n = 3) is held only to at most 2 neighbours
+    per point by the second check; nothing asks a cycle in it to be all
+    of it.
+    """
     common = rows[v] & mask
     grown = mask | 1 << v
     full = (1 << len(rows)) - 1

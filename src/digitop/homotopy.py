@@ -22,14 +22,24 @@ The cone test comes before chi because it costs one pass over the rows,
 while chi enumerates every clique: a complete graph is answered at once.
 A cone has chi = 1, so the order changes no verdict.
 
-Prunes (b) and (d) run only at a root: a top-level call or a rim.  Down
-a deletion chain they can never fire.  A simple point's rim is
-contractible, so it is nonempty and connected, and every path through v
-can detour through it: G - v stays connected.  A contractible rim has
-chi = 1, and chi(G - v) = chi(G) - 1 + chi(O(v)), so chi stays 1.
+Prunes (a), (b) and (d) run only at a root: a top-level call or a rim.
+Down a deletion chain they can never fire.  A level that deletes is no
+cone, so it has three or more points and G - v has two or more.  A
+simple point's rim is contractible, so it is nonempty and connected,
+and every path through v can detour through it: G - v stays connected.
+A contractible rim has chi = 1, and chi(G - v) = chi(G) - 1 +
+chi(O(v)), so chi stays 1.
 
 Each level is a generator, _contractible_steps, which yields those of
 its rims and deletions; space._run drives them on an explicit stack.
+A level is a tuple of bitmask rows, which is also its memo key, and no
+DigitalSpace is built below the public entry points: a rim is its mask
+re-indexed (space._reindex), and a deletion slices out one row and
+shifts the others past it (space._without).  A rim that (a) or (b)
+decides, one with at most one point or a disconnected one, is decided
+on its parent's rows and the rim's mask, with no rows built.  (a) and
+(b) come before a root's memo lookup, so deciding them in the parent
+skips no lookup and no charge.
 
 Deleting v changes only the rims of v's neighbours, so a level inherits
 its parent's simple points and re-checks those rims alone, in point
@@ -46,7 +56,17 @@ from enum import Enum
 from .budget import Budget, BudgetExceeded, ensure_budget
 from .cache import MISSING, FormCache
 from .canon import canonical_form
-from .space import DigitalSpace, _bits, _drop, _run
+from .space import (
+    CliqueVector,
+    DigitalSpace,
+    _bits,
+    _clique_counts,
+    _drop,
+    _reach,
+    _reindex,
+    _run,
+    _without,
+)
 
 _CONTRACTIBLE = FormCache()
 
@@ -64,42 +84,66 @@ class TraceError(ValueError):
 
 def is_contractible(G: DigitalSpace, budget: Budget | None = None) -> bool:
     """Decide whether G reduces to a point by simple-point deletions."""
-    return _run(_contractible_steps(G, None, ensure_budget(budget)))
+    rows = G._rows
+    verdict = _pruned(rows, (1 << len(rows)) - 1)
+    if verdict is None:
+        root = _contractible_steps(rows, None, ensure_budget(budget), G.euler_characteristic)
+        verdict = _run(root)
+    return verdict
 
 
-def _contractible_steps(G: DigitalSpace, inherited, budget: Budget):
-    """One search level.  inherited is None at a root (a top-level call
-    or a rim); on a deletion chain it is (simple, stale): bitmasks over
-    G's points of those known simple and those whose rims changed.  It
-    yields the search of each rim and deletion it needs a verdict on."""
-    n = len(G)
-    if n <= 1:
-        return n == 1
-    if inherited is None and not G.is_connected():
+def _pruned(rows, mask: int) -> bool | None:
+    """The verdict of prunes (a) and (b) on the subspace of rows induced
+    by mask, or None when it is connected and has two or more points."""
+    if not mask & (mask - 1):
+        return mask != 0
+    if _reach(rows, mask & -mask, mask) != mask:
         return False
-    hit = _CONTRACTIBLE.get(G)
+    return None
+
+
+def _euler(rows) -> int:
+    return CliqueVector(_clique_counts(rows)).euler_characteristic()
+
+
+def _contractible_steps(rows: tuple[int, ...], inherited, budget: Budget, euler=None):
+    """One search level, on the rows of a connected space of two or more
+    points.  inherited is None at a root (a top-level call or a rim); on a
+    deletion chain it is (simple, stale): bitmasks over the points of
+    those known simple and those whose rims changed.  euler gives a
+    root's chi: a top-level call passes its space's cached count, and a
+    rim's cliques are counted on its rows.  The level yields the search
+    of each rim and deletion it needs a verdict on, except a rim that
+    prunes (a) or (b) decide from the level's rows and the rim's mask."""
+    hit = _CONTRACTIBLE.get(rows)
     if hit is not MISSING:
         return hit
     budget.charge()
-    if G.dominating_point() is not None:
+    n = len(rows)
+    # no row holds its own point, so a cone point's row has n - 1 bits
+    if n - 1 in map(int.bit_count, rows):
         result = True
-    elif inherited is None and G.euler_characteristic() != 1:
+    elif inherited is None and (euler() if euler else _euler(rows)) != 1:
         result = False
     else:
         simple, stale = inherited or (0, (1 << n) - 1)
         for i in _bits(stale):
-            if (yield _contractible_steps(G.rim(G.points[i]), None, budget)):
+            mask = rows[i]
+            verdict = _pruned(rows, mask)
+            if verdict is None:
+                rim = tuple(_reindex(rows, list(_bits(mask)), mask))
+                verdict = yield _contractible_steps(rim, None, budget)
+            if verdict:
                 simple |= 1 << i
         result = False
         if simple.bit_count() >= 2:
             for i in _bits(simple):
-                row = G._rows[i]
-                after = G.delete_points([G.points[i]])
+                row = rows[i]
                 child = (_drop(simple & ~row, i), _drop(row, i))
-                if (yield _contractible_steps(after, child, budget)):
+                if (yield _contractible_steps(_without(rows, i), child, budget)):
                     result = True
                     break
-    _CONTRACTIBLE.put(G, result)
+    _CONTRACTIBLE.put(rows, result)
     return result
 
 

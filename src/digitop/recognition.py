@@ -107,7 +107,7 @@ def _sphere_walk(G: DigitalSpace, budget: Budget) -> tuple[int | None, int | Non
     if count < 4:
         # no sphere besides S0, and no closed manifold, has fewer than four points
         return None, None
-    hit = _SPHERE.get(G)
+    hit = _SPHERE.get(G._rows)
     if hit is not MISSING:
         return hit
     closed = _closed_dim(G, budget)
@@ -120,7 +120,7 @@ def _sphere_walk(G: DigitalSpace, budget: Budget) -> tuple[int | None, int | Non
             for orbit in point_orbits(G)
         )
         n = closed if punctures_contractible else None
-    _SPHERE.put(G, (n, closed))
+    _SPHERE.put(G._rows, (n, closed))
     return n, closed
 
 

@@ -11,8 +11,9 @@ DigitalSpace is immutable: every operation returns a new space.  It
 holds only its sorted point ids (matching [A-Za-z0-9_]+, found by
 bisection), one integer bitmask row per point and a cache.  The row
 kernel shared by canon, homotopy and classify lives here too: _drop,
-_gap, _bits, _reach and _reindex, and _run, which runs the canonical
-and contractibility searches on an explicit stack.
+_gap, _bits, _reach, _reindex, _without and _clique_counts, and _run,
+which runs the canonical and contractibility searches on an explicit
+stack.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .budget import Budget
+from .budget import BudgetExceeded
 
 _ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
-# Safety valve for clique enumeration; see DigitalSpace.clique_vector.
+# Safety valve for clique enumeration; see _clique_counts.
 DEFAULT_CLIQUE_LIMIT = 10_000_000
 
 
@@ -78,6 +79,42 @@ def _reindex(rows: Sequence[int], order: Sequence[int], within: int) -> list[int
             row ^= low
         out.append(new_row)
     return out
+
+
+def _without(rows: Sequence[int], i: int) -> tuple[int, ...]:
+    """Rows of the space without point i: row i sliced out, the others
+    shifted past it."""
+    low = (1 << i) - 1
+    return tuple([row & low | row >> (i + 1) << i for row in rows[:i] + rows[i + 1 :]])
+
+
+def _clique_counts(rows: Sequence[int]) -> tuple[int, ...]:
+    """Clique counts of rows: entry k is the number of (k+1)-cliques.
+
+    Enumerates cliques as increasing index sequences on a stack, so each
+    clique is visited once and none needs recursion.  Counting more than
+    DEFAULT_CLIQUE_LIMIT cliques raises BudgetExceeded; the cap exists
+    because clique counts can grow exponentially.
+    """
+    counts: list[int] = []
+    seen = 0
+    stack = [(0, (1 << len(rows)) - 1)] if rows else []
+    while stack:
+        size, cand = stack.pop()
+        if size == len(counts):
+            counts.append(0)
+        found = cand.bit_count()
+        counts[size] += found
+        seen += found
+        if seen > DEFAULT_CLIQUE_LIMIT:
+            raise BudgetExceeded(f"search budget of {DEFAULT_CLIQUE_LIMIT} nodes exhausted")
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            grown = cand & rows[low.bit_length() - 1]
+            if grown:
+                stack.append((size + 1, grown))
+    return tuple(counts)
 
 
 def _run(root):
@@ -274,9 +311,8 @@ class DigitalSpace:
         if mask.bit_count() == 1:
             # one point: shift each row past it instead of rebuilding rows
             i = mask.bit_length() - 1
-            rows = [_drop(row, i) for row in self._rows]
-            del rows[i]
-            return DigitalSpace._from_rows(self._ids[:i] + self._ids[i + 1 :], rows)
+            ids = self._ids[:i] + self._ids[i + 1 :]
+            return DigitalSpace._from_rows(ids, _without(self._rows, i))
         full = (1 << len(self._ids)) - 1
         return self._induced_by_mask(full & ~mask)
 
@@ -391,34 +427,10 @@ class DigitalSpace:
     # -- clique complex ----------------------------------------------------------
 
     def clique_vector(self) -> CliqueVector:
-        """Count cliques of every size.
-
-        Enumerates cliques as increasing index sequences on a stack, so
-        each clique is visited once and none needs recursion.  Exceeding
-        DEFAULT_CLIQUE_LIMIT cliques raises via the budget machinery; the
-        cap exists because clique counts can grow exponentially.
-        """
-        if "cliques" in self._cache:
-            return self._cache["cliques"]
-        rows = self._rows
-        counts: list[int] = []
-        budget = Budget(DEFAULT_CLIQUE_LIMIT)
-        stack = [(0, (1 << len(rows)) - 1)] if rows else []
-        while stack:
-            size, cand = stack.pop()
-            if size == len(counts):
-                counts.append(0)
-            while cand:
-                low = cand & -cand
-                cand ^= low
-                budget.charge()
-                counts[size] += 1
-                grown = cand & rows[low.bit_length() - 1]
-                if grown:
-                    stack.append((size + 1, grown))
-        vec = CliqueVector(tuple(counts))
-        self._cache["cliques"] = vec
-        return vec
+        """Count cliques of every size (see _clique_counts), once per space."""
+        if "cliques" not in self._cache:
+            self._cache["cliques"] = CliqueVector(_clique_counts(self._rows))
+        return self._cache["cliques"]
 
     def euler_characteristic(self) -> int:
         """Euler characteristic of the clique complex of this space."""

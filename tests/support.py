@@ -27,7 +27,6 @@ from digitop import (
     RecognitionResult,
     SpaceKind,
     TransformStep,
-    canonical_form,
     is_contractible,
 )
 from digitop.cache import MISSING
@@ -342,11 +341,11 @@ class EncodingTable:
     def __init__(self):
         self._table: dict[bytes, object] = {}
 
-    def get(self, space):
-        return self._table.get(canonical_form(space).encoding, MISSING)
+    def get(self, rows):
+        return self._table.get(canonical_encoding_rows(rows), MISSING)
 
-    def put(self, space, value) -> None:
-        self._table[canonical_form(space).encoding] = value
+    def put(self, rows, value) -> None:
+        self._table[canonical_encoding_rows(rows)] = value
 
     def clear(self) -> None:
         self._table.clear()

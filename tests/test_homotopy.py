@@ -60,8 +60,10 @@ def test_agrees_with_literal_definition_exhaustively():
 
 
 def test_deep_deletion_chain_needs_no_recursion():
-    """A path needs ~120 nested deletions; the search must not recurse on them."""
-    cache.clear_all()
+    """A path needs ~120 nested deletions, and a 1,000-point path or tree
+    ~1,000; the search must not recurse on them."""
+    tree = support.random_tree(random.Random(1000), 1000)
+    spaces = [support.path(120), support.path(1000), tree]
     depth = 0
     frame = sys._getframe()
     while frame is not None:
@@ -70,9 +72,31 @@ def test_deep_deletion_chain_needs_no_recursion():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(depth + 100)
     try:
-        assert is_contractible(support.path(120))
+        for G in spaces:
+            cache.clear_all()
+            assert is_contractible(G)
     finally:
         sys.setrecursionlimit(limit)
+
+
+def test_search_builds_no_space_below_the_entry_point(cold_memo, monkeypatch):
+    """Search levels are rows: once is_contractible is entered, a cold
+    search builds no DigitalSpace for a rim or a deletion."""
+    spaces = [support.path(60), support.random_tree(random.Random(60), 60)]
+    built = []
+    original = DigitalSpace._from_rows
+    monkeypatch.setattr(
+        DigitalSpace,
+        "_from_rows",
+        classmethod(lambda cls, ids, rows: built.append(len(rows)) or original(ids, rows)),
+    )
+    for G in spaces:
+        cache.clear_all()
+        budget = Budget()
+        assert is_contractible(G, budget)
+        # a deletion chain, not an answer at the root
+        assert budget.spent > 50
+    assert built == []
 
 
 def test_simple_point_examples():
@@ -583,10 +607,10 @@ def test_small_capacity_keeps_verdicts_and_empties_both_tiers(cold_memo, monkeyp
     table.clear()
     paths = [support.path(k) for k in range(2, 8)]
     for G in paths[:5]:
-        table.put(G, True)
+        table.put(G._rows, True)
     assert len(table) == 5
-    table.put(paths[5], True)
+    table.put(paths[5]._rows, True)
     assert len(table) == 1
-    assert table.get(paths[0]) is cache.MISSING
-    assert table.get(support.shuffled(paths[0], rng)) is cache.MISSING
-    assert table.get(paths[5]) is True
+    assert table.get(paths[0]._rows) is cache.MISSING
+    assert table.get(support.shuffled(paths[0], rng)._rows) is cache.MISSING
+    assert table.get(paths[5]._rows) is True
