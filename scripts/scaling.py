@@ -7,8 +7,9 @@ For each size n in SIZES it runs is_contractible on path(n) and on a
 seeded random tree with n points, each with the memo tables cleared
 first, and prints one JSON row per run: input, n, wall_s, nodes (budget
 charged), canon_calls (canonical searches, counted by wrapping
-digitop.canon._canonical) and subspaces (induced subspaces built,
-counted by wrapping DigitalSpace._induced_by_mask).  The next row holds
+digitop.canon._canonical wherever a digitop module binds it) and
+subspaces (induced subspaces built, counted by wrapping
+DigitalSpace._induced_by_mask).  The next row holds
 the log-log slope of wall_s over the sizes of at least 100 points, per
 input, computed by bench/tracing.py's loglog_slope.  Then it runs
 catalog(n, max_points) for each pair in CATALOGS, memo cleared, with the
@@ -25,12 +26,15 @@ in ms per pass.  Then, for each (start, points) in COMPRESSIONS, it
 grows that manifold by R-transforms on edges drawn with
 random.Random(points) until it has that many points, clears the memo
 tables and runs compress, and prints wall_s, nodes, canon_calls,
-subspaces, the number of contraction steps and the final point count.
+subspaces, spaces (every DigitalSpace built, counted by wrapping
+DigitalSpace._from_rows), the number of contraction steps and the final
+point count.
 Then, for each size in RELABELED, it grows minimal_sphere(3) the same
 way to that many points, clears the memo tables, and runs recognize once
 cold and then on RELABELED_COPIES copies under shuffled labels, warm; it
 prints one row per phase with the number of queries, the kinds
-recognized, and wall_s, nodes and canon_calls summed over the phase.
+recognized, and wall_s, nodes, canon_calls, subspaces and spaces summed
+over the phase.
 The last row is the connected-graph census: catalog growth with n = 0,
 where the link rule cuts nothing, through CENSUS_POINTS points,
 unbounded, with the number of graphs per point count (OEIS A001349: 1,
@@ -96,7 +100,9 @@ def main(argv=None) -> int:
         calls[0] += 1
         return canonical(rows)
 
-    canon._canonical = counted
+    for module in (canon, dg.recognition):
+        if getattr(module, "_canonical", None) is canonical:
+            module._canonical = counted
     subspaces = [0]
     induced = dg.DigitalSpace._induced_by_mask
 
@@ -105,6 +111,14 @@ def main(argv=None) -> int:
         return induced(space, mask)
 
     dg.DigitalSpace._induced_by_mask = counted_induced
+    spaces = [0]
+    from_rows = dg.DigitalSpace._from_rows
+
+    def counted_from_rows(cls, ids, rows):
+        spaces[0] += 1
+        return from_rows(ids, rows)
+
+    dg.DigitalSpace._from_rows = classmethod(counted_from_rows)
     slopes: dict[str, list[tuple[float, float]]] = {}
     for name, build in (("path", path_space), ("tree", tree_space)):
         for n in SIZES:
@@ -184,7 +198,7 @@ def main(argv=None) -> int:
         while len(M) < points:
             M = dg.r_transform(M, *rng.choice(M.edges))
         dg.cache.clear_all()
-        calls[0] = subspaces[0] = 0
+        calls[0] = subspaces[0] = spaces[0] = 0
         budget = dg.Budget()
         start = time.perf_counter()
         result = dg.compress(M, budget)
@@ -192,7 +206,7 @@ def main(argv=None) -> int:
         print(json.dumps({"input": f"compress_{start_name}", "n": points,
                           "wall_s": round(wall, 4), "nodes": budget.spent,
                           "canon_calls": calls[0], "subspaces": subspaces[0],
-                          "steps": len(result.steps),
+                          "spaces": spaces[0], "steps": len(result.steps),
                           "final_points": len(result.space)}), flush=True)
     for points in RELABELED:
         M = dg.minimal_sphere(3)
@@ -205,16 +219,17 @@ def main(argv=None) -> int:
             rng.shuffle(names)
             copies.append(M.relabeled(dict(zip(M.points, names))))
         dg.cache.clear_all()
-        for phase, spaces in (("cold", [M]), ("warm", copies)):
-            calls[0] = 0
+        for phase, queries in (("cold", [M]), ("warm", copies)):
+            calls[0] = subspaces[0] = spaces[0] = 0
             budget = dg.Budget()
             start = time.perf_counter()
-            kinds = {dg.recognize(space, budget).kind.value for space in spaces}
+            kinds = {dg.recognize(space, budget).kind.value for space in queries}
             wall = time.perf_counter() - start
             print(json.dumps({"input": "relabeled_repeat", "n": points, "phase": phase,
-                              "queries": len(spaces), "kinds": sorted(kinds),
+                              "queries": len(queries), "kinds": sorted(kinds),
                               "wall_s": round(wall, 4), "nodes": budget.spent,
-                              "canon_calls": calls[0]}), flush=True)
+                              "canon_calls": calls[0], "subspaces": subspaces[0],
+                              "spaces": spaces[0]}), flush=True)
     calls[0] = 0
     budget = dg.Budget(None)
     tiers = [0] * CENSUS_POINTS

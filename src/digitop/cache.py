@@ -3,9 +3,9 @@
 Contractibility and sphere recognition both recurse through rims and
 punctured spaces, and the same small spaces appear over and over, so
 results are memoized.  A table is a dict from a space's rows to its
-value, and callers pass that rows tuple: the contractibility search
-holds nothing else (its levels are rows, not spaces), and recognition
-passes a space's _rows.  Equal rows are the same graph on the same
+value, and callers pass that rows tuple: the contractibility and
+recognition searches hold nothing else (their subspaces are rows, not
+spaces).  Equal rows are the same graph on the same
 positions, so a lookup costs one tuple hash and runs no canonical
 search.  The repeats come under the same labels: recognition meets
 every rim of a rebuilt manifold again, and contractibility meets the

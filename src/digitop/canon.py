@@ -35,8 +35,9 @@ canonical order), so equal encodings mean isomorphic spaces and can be
 used directly as memoization keys.
 
 The generators collected during one search need not generate the full
-automorphism group; orbits computed from them are sound (points in one
-orbit really are interchangeable) which is all the callers rely on.
+automorphism group; orbits computed from them (_orbits) are sound
+(points in one orbit really are interchangeable) which is all the
+callers rely on.
 """
 
 from __future__ import annotations
@@ -300,11 +301,22 @@ def canonical_form(space: DigitalSpace) -> CanonicalForm:
     cached = space._cache.get("canonical_form")
     if cached is not None:
         return cached
-    encoding, order, generators = _canonical(space._rows)
+    encoding, order, _ = _canonical(space._rows)
     form = CanonicalForm(encoding, tuple(space.points[v] for v in order))
     space._cache["canonical_form"] = form
-    space._cache["generators"] = generators
     return form
+
+
+def _orbits(n: int, generators) -> tuple[tuple[int, ...], ...]:
+    """Orbits of the points 0..n-1 under the group the generators (point
+    permutations) generate, each in point order, ordered by first point."""
+    orbits = _Orbits(n)
+    for gen in generators:
+        orbits.merge(enumerate(gen))
+    groups: dict[int, list[int]] = {}
+    for v in range(n):
+        groups.setdefault(orbits.find(v), []).append(v)
+    return tuple(sorted(tuple(members) for members in groups.values()))
 
 
 def point_orbits(space: DigitalSpace) -> tuple[tuple[str, ...], ...]:
@@ -312,24 +324,13 @@ def point_orbits(space: DigitalSpace) -> tuple[tuple[str, ...], ...]:
 
     Orbits come from the generators found during the canonical search,
     which may generate a proper subgroup; the grouping is always sound,
-    possibly finer than the true orbit partition.
+    possibly finer than the true orbit partition.  Each call runs that
+    search: nothing is kept with the space.
     """
-    cached = space._cache.get("point_orbits")
-    if cached is not None:
-        return cached
-    canonical_form(space)
-    n = len(space)
-    orbits = _Orbits(n)
-    for gen in space._cache["generators"]:
-        orbits.merge(enumerate(gen))
-    groups: dict[int, list[str]] = {}
-    for v in range(n):
-        groups.setdefault(orbits.find(v), []).append(space.points[v])
-    result = tuple(
-        tuple(members) for _, members in sorted(groups.items(), key=lambda kv: kv[1][0])
+    generators = _canonical(space._rows)[2]
+    return tuple(
+        tuple(space.points[v] for v in orbit) for orbit in _orbits(len(space), generators)
     )
-    space._cache["point_orbits"] = result
-    return result
 
 
 def are_isomorphic(left: DigitalSpace, right: DigitalSpace) -> bool:

@@ -33,9 +33,12 @@ chi(O(v)), so chi stays 1.
 Each level is a generator, _contractible_steps, which yields those of
 its rims and deletions; space._run drives them on an explicit stack.
 A level is a tuple of bitmask rows, which is also its memo key, and no
-DigitalSpace is built below the public entry points: a rim is its mask
-re-indexed (space._reindex), and a deletion slices out one row and
-shifts the others past it (space._without).  A rim that (a) or (b)
+DigitalSpace is built below the public entry points: is_contractible
+hands its space's rows to _contractible, which recognition's puncture
+test calls too, a rim is its mask re-indexed (space._induced), and a
+deletion slices out one row and shifts the others past it
+(space._without).  Every root, a top-level call included, counts its
+cliques for chi on its rows.  A rim that (a) or (b)
 decides, one with at most one point or a disconnected one, is decided
 on its parent's rows and the rim's mask, with no rows built.  (a) and
 (b) come before a root's memo lookup, so deciding them in the parent
@@ -57,13 +60,12 @@ from .budget import Budget, BudgetExceeded, ensure_budget
 from .cache import MISSING, FormCache
 from .canon import canonical_form
 from .space import (
-    CliqueVector,
     DigitalSpace,
     _bits,
-    _clique_counts,
     _drop,
+    _euler,
+    _induced,
     _reach,
-    _reindex,
     _run,
     _without,
 )
@@ -84,11 +86,14 @@ class TraceError(ValueError):
 
 def is_contractible(G: DigitalSpace, budget: Budget | None = None) -> bool:
     """Decide whether G reduces to a point by simple-point deletions."""
-    rows = G._rows
+    return _contractible(G._rows, ensure_budget(budget))
+
+
+def _contractible(rows: tuple[int, ...], budget: Budget) -> bool:
+    """is_contractible on the rows of a space."""
     verdict = _pruned(rows, (1 << len(rows)) - 1)
     if verdict is None:
-        root = _contractible_steps(rows, None, ensure_budget(budget), G.euler_characteristic)
-        verdict = _run(root)
+        verdict = _run(_contractible_steps(rows, None, budget))
     return verdict
 
 
@@ -102,19 +107,14 @@ def _pruned(rows, mask: int) -> bool | None:
     return None
 
 
-def _euler(rows) -> int:
-    return CliqueVector(_clique_counts(rows)).euler_characteristic()
-
-
-def _contractible_steps(rows: tuple[int, ...], inherited, budget: Budget, euler=None):
+def _contractible_steps(rows: tuple[int, ...], inherited, budget: Budget):
     """One search level, on the rows of a connected space of two or more
     points.  inherited is None at a root (a top-level call or a rim); on a
     deletion chain it is (simple, stale): bitmasks over the points of
-    those known simple and those whose rims changed.  euler gives a
-    root's chi: a top-level call passes its space's cached count, and a
-    rim's cliques are counted on its rows.  The level yields the search
-    of each rim and deletion it needs a verdict on, except a rim that
-    prunes (a) or (b) decide from the level's rows and the rim's mask."""
+    those known simple and those whose rims changed.  A root's chi is
+    counted on its rows.  The level yields the search of each rim and
+    deletion it needs a verdict on, except a rim that prunes (a) or (b)
+    decide from the level's rows and the rim's mask."""
     hit = _CONTRACTIBLE.get(rows)
     if hit is not MISSING:
         return hit
@@ -123,7 +123,7 @@ def _contractible_steps(rows: tuple[int, ...], inherited, budget: Budget, euler=
     # no row holds its own point, so a cone point's row has n - 1 bits
     if n - 1 in map(int.bit_count, rows):
         result = True
-    elif inherited is None and (euler() if euler else _euler(rows)) != 1:
+    elif inherited is None and _euler(rows) != 1:
         result = False
     else:
         simple, stale = inherited or (0, (1 << n) - 1)
@@ -131,8 +131,7 @@ def _contractible_steps(rows: tuple[int, ...], inherited, budget: Budget, euler=
             mask = rows[i]
             verdict = _pruned(rows, mask)
             if verdict is None:
-                rim = tuple(_reindex(rows, list(_bits(mask)), mask))
-                verdict = yield _contractible_steps(rim, None, budget)
+                verdict = yield _contractible_steps(_induced(rows, mask), None, budget)
             if verdict:
                 simple |= 1 << i
         result = False

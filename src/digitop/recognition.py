@@ -5,8 +5,8 @@ n-sphere is two isolated points when n = 0; for n > 0 it is a connected
 space in which every rim is an (n-1)-sphere (_closed_dim) and every
 punctured space G - v is contractible.  A closed n-manifold is the
 first half of that: _closed_dim alone.  An n-disk is a sphere minus a
-point, so G is a disk exactly when a fresh apex over the points whose
-rims are not spheres makes an n-sphere (the cone test).  A manifold
+point, so G is a disk exactly when an apex over the points whose rims
+are not spheres makes an n-sphere (the cone test).  A manifold
 with (spherical) boundary splits the same way into interior points with
 sphere rims and boundary points with disk rims, and is decided by the
 same cone (_cone): it must be a closed n-manifold.
@@ -23,6 +23,13 @@ rims.
 Punctured-space checks only need one representative per automorphism
 orbit, which is what makes the highly symmetric minimal spheres cheap
 to certify.
+
+Below the public recognize* functions every subspace is a tuple of
+bitmask rows, as in the contractibility search: a rim is its mask
+re-indexed (space._induced), a puncture drops one row (space._without)
+and goes to homotopy._contractible, and a cone puts its apex at row 0
+(space._apex).  No DigitalSpace is built; the public functions turn
+masks back into point ids.
 """
 
 from __future__ import annotations
@@ -33,9 +40,9 @@ from typing import NamedTuple
 
 from .budget import Budget, ensure_budget
 from .cache import MISSING, FormCache
-from .canon import point_orbits
-from .homotopy import is_contractible
-from .space import DigitalSpace
+from .canon import _canonical, _orbits
+from .homotopy import _contractible
+from .space import DigitalSpace, _apex, _euler, _induced, _reach, _without
 
 _SPHERE = FormCache()
 
@@ -68,16 +75,17 @@ class NotAManifoldError(ValueError):
 
 def recognize_sphere(G: DigitalSpace, budget: Budget | None = None) -> int | None:
     """Dimension n if G is a digital n-sphere, else None."""
-    return _sphere(G, ensure_budget(budget))
+    return _sphere(G._rows, ensure_budget(budget))
 
 
-def _sphere(G: DigitalSpace, budget: Budget) -> int | None:
-    return _sphere_walk(G, budget)[0]
+def _sphere(rows: tuple[int, ...], budget: Budget) -> int | None:
+    return _sphere_walk(rows, budget)[0]
 
 
-def _sphere_walk(G: DigitalSpace, budget: Budget) -> tuple[int | None, int | None]:
-    """G's sphere dimension and _closed_dim(G), memoized together, so a
-    closed manifold's rims are walked once, and never on a memo hit.
+def _sphere_walk(rows: tuple[int, ...], budget: Budget) -> tuple[int | None, int | None]:
+    """The sphere dimension and _closed_dim of the space with these rows,
+    memoized together, so a closed manifold's rims are walked once, and
+    never on a memo hit.
 
     Being a closed manifold is local, so the rims decide it before any
     canonization.  A space that is not one is no sphere; a closed
@@ -85,7 +93,7 @@ def _sphere_walk(G: DigitalSpace, budget: Budget) -> tuple[int | None, int | Non
     it is a 1-sphere; a closed 2-manifold is a 2-sphere exactly when its
     Euler characteristic is 2.  These answers charge no node.  Only a
     closed manifold of dimension >= 3 charges one node and tests one
-    puncture per automorphism orbit.  One memo lookup under G's rows
+    puncture per automorphism orbit.  One memo lookup under the rows
     comes first, and every verdict is stored there.
 
     Why chi decides dimension 2.  A closed 2-manifold G is connected,
@@ -101,62 +109,74 @@ def _sphere_walk(G: DigitalSpace, budget: Budget) -> tuple[int | None, int | Non
     (<=) A 2-sphere has chi(G) = chi(G - v) + 1 - chi(rim v) = 1 + 1 - 0
     = 2, since G - v is contractible and rim v is a cycle.
     """
-    count = len(G)
-    if count == 2 and G.edge_count == 0:
+    count = len(rows)
+    if count == 2 and not rows[0]:
         return 0, 0
     if count < 4:
         # no sphere besides S0, and no closed manifold, has fewer than four points
         return None, None
-    hit = _SPHERE.get(G._rows)
+    hit = _SPHERE.get(rows)
     if hit is not MISSING:
         return hit
-    closed = _closed_dim(G, budget)
+    closed = _closed_dim(rows, budget)
     if closed is None or closed < 3:
-        n = None if closed == 2 and G.euler_characteristic() != 2 else closed
+        n = None if closed == 2 and _euler(rows) != 2 else closed
     else:
         budget.charge()
         punctures_contractible = all(
-            is_contractible(G.delete_points([orbit[0]]), budget)
-            for orbit in point_orbits(G)
+            _contractible(_without(rows, orbit[0]), budget)
+            for orbit in _orbits(count, _canonical(rows)[2])
         )
         n = closed if punctures_contractible else None
-    _SPHERE.put(G._rows, (n, closed))
+    _SPHERE.put(rows, (n, closed))
     return n, closed
 
 
-def _closed_dim(G: DigitalSpace, budget: Budget) -> int | None:
-    """n if G is connected and every rim is an (n-1)-sphere, else None.
+def _closed_dim(rows: tuple[int, ...], budget: Budget) -> int | None:
+    """n if the space with these rows is connected and every rim is an
+    (n-1)-sphere, else None.
 
     The first point's rim fixes the dimension; the scan stops at the
     first rim that disagrees.
     """
-    if not G.is_connected():
+    full = (1 << len(rows)) - 1
+    if full > 1 and _reach(rows, 1, full) != full:
         return None
-    rim_dim = _sphere(G.rim(G.points[0]), budget)
+    rim_dim = _sphere(_induced(rows, rows[0]), budget)
     if rim_dim is None or any(
-        _sphere(G.rim(v), budget) != rim_dim for v in G.points[1:]
+        _sphere(_induced(rows, row), budget) != rim_dim for row in rows[1:]
     ):
         return None
     return rim_dim + 1
 
 
-def _cone(G: DigitalSpace, budget: Budget, test) -> DiskDecomposition | None:
-    """(n, boundary, interior) if test(cone) == n, else None.
+def _cone(rows: tuple[int, ...], budget: Budget, test) -> tuple[int, int, int] | None:
+    """(n, boundary, interior), the last two masks, if test(cone) == n,
+    else None.
 
     The interior is the points whose rims are spheres, all of one
     dimension n - 1, the boundary the others; both must be nonempty.
-    The cone is G plus a fresh apex over the boundary.
+    The cone is the space plus an apex over the boundary (space._apex).
     """
-    rim_dims = {v: _sphere(G.rim(v), budget) for v in G.points}
-    interior = tuple(v for v, dim in rim_dims.items() if dim is not None)
-    boundary = tuple(v for v, dim in rim_dims.items() if dim is None)
-    dims = set(rim_dims.values()) - {None}
+    rim_dims = [_sphere(_induced(rows, row), budget) for row in rows]
+    interior = sum(1 << i for i, dim in enumerate(rim_dims) if dim is not None)
+    full = (1 << len(rows)) - 1
+    boundary = full & ~interior
+    dims = set(rim_dims) - {None}
     if not interior or not boundary or len(dims) != 1:
         return None
     n = dims.pop() + 1
-    if test(G.add_point(G.fresh_id("apex"), boundary), budget) != n:
+    if test(_apex(rows, full, boundary), budget) != n:
         return None
-    return DiskDecomposition(n, boundary, interior)
+    return n, boundary, interior
+
+
+def _split(G: DigitalSpace, cone) -> DiskDecomposition | None:
+    """_cone's masks over G's rows as a DiskDecomposition of point ids."""
+    if cone is None:
+        return None
+    n, boundary, interior = cone
+    return DiskDecomposition(n, G._ids_of(boundary), G._ids_of(interior))
 
 
 def recognize_disk(
@@ -165,15 +185,15 @@ def recognize_disk(
     """(n, boundary, interior) if G is a digital n-disk, else None.
 
     Points whose rims are spheres are the candidate interior.  The cone
-    test decides: a fresh apex adjacent to exactly the other points must
-    make an n-sphere, which is the definition of a disk read backwards.
-    It implies that G (the cone minus its apex) is contractible and that
+    test decides: an apex adjacent to exactly the other points must make
+    an n-sphere, which is the definition of a disk read backwards.  It
+    implies that G (the cone minus its apex) is contractible and that
     the boundary (the apex's rim) is an (n-1)-sphere.
     """
     budget = ensure_budget(budget)
     if len(G) == 1:
         return DiskDecomposition(0, (), (G.points[0],))
-    return _cone(G, budget, _sphere)
+    return _split(G, _cone(G._rows, budget, _sphere))
 
 
 def recognize_closed_manifold(
@@ -186,7 +206,7 @@ def recognize_closed_manifold(
     """
     if len(G) == 2 and G.edge_count == 0:
         return 0
-    return _closed_dim(G, ensure_budget(budget)) if len(G) else None
+    return _closed_dim(G._rows, ensure_budget(budget)) if len(G) else None
 
 
 def recognize_manifold_with_boundary(
@@ -196,7 +216,7 @@ def recognize_manifold_with_boundary(
 
     Interior rims must be (n-1)-spheres, boundary rims (n-1)-disks, the
     boundary must be nonempty and induce an (n-1)-sphere: exactly when
-    G plus a fresh apex over the boundary B is a closed n-manifold.
+    G plus an apex over the boundary B is a closed n-manifold.
     (<=) The apex's rim is B, and a boundary rim is a cone rim minus the
     apex, a punctured sphere.  (=>) A point of the boundary of rim(b)
     with a sphere rim would make its joint rim with b a sphere, so that
@@ -206,7 +226,7 @@ def recognize_manifold_with_boundary(
     budget = ensure_budget(budget)
     if len(G) < 2 or not G.is_connected():
         return None
-    return _cone(G, budget, _closed_dim)
+    return _split(G, _cone(G._rows, budget, _closed_dim))
 
 
 def recognize(G: DigitalSpace, budget: Budget | None = None) -> RecognitionResult:
@@ -215,7 +235,7 @@ def recognize(G: DigitalSpace, budget: Budget | None = None) -> RecognitionResul
     closed manifolds first changes no verdict and spares them a disk pass.
     """
     budget = ensure_budget(budget)
-    dim, closed = _sphere_walk(G, budget)
+    dim, closed = _sphere_walk(G._rows, budget)
     if dim is not None:
         return RecognitionResult(SpaceKind.SPHERE, dim)
     if closed is not None:

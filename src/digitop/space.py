@@ -10,10 +10,10 @@ operations here.
 DigitalSpace is immutable: every operation returns a new space.  It
 holds only its sorted point ids (matching [A-Za-z0-9_]+, found by
 bisection), one integer bitmask row per point and a cache.  The row
-kernel shared by canon, homotopy and classify lives here too: _drop,
-_gap, _bits, _reach, _reindex, _without and _clique_counts, and _run,
-which runs the canonical and contractibility searches on an explicit
-stack.
+kernel shared by canon, homotopy, recognition, transform and classify
+lives here too: _drop, _gap, _bits, _reach, _reindex, _induced, _apex,
+_without, _clique_counts and _euler, and _run, which runs the canonical
+and contractibility searches on an explicit stack.
 """
 
 from __future__ import annotations
@@ -81,6 +81,22 @@ def _reindex(rows: Sequence[int], order: Sequence[int], within: int) -> list[int
     return out
 
 
+def _induced(rows: Sequence[int], mask: int) -> tuple[int, ...]:
+    """Rows of the subspace induced by mask, its points in order."""
+    return tuple(_reindex(rows, list(_bits(mask)), mask))
+
+
+def _apex(rows: Sequence[int], within: int, over: int) -> tuple[int, ...]:
+    """Rows of the subspace induced by within plus a new first point, an
+    apex adjacent to the points of over (a subset of within)."""
+    out = [0]
+    for p, (v, row) in enumerate(zip(_bits(within), _induced(rows, within))):
+        touch = over >> v & 1
+        out[0] |= touch << (p + 1)
+        out.append(row << 1 | touch)
+    return tuple(out)
+
+
 def _without(rows: Sequence[int], i: int) -> tuple[int, ...]:
     """Rows of the space without point i: row i sliced out, the others
     shifted past it."""
@@ -107,7 +123,7 @@ def _clique_counts(rows: Sequence[int]) -> tuple[int, ...]:
         counts[size] += found
         seen += found
         if seen > DEFAULT_CLIQUE_LIMIT:
-            raise BudgetExceeded(f"search budget of {DEFAULT_CLIQUE_LIMIT} nodes exhausted")
+            raise BudgetExceeded(f"clique limit of {DEFAULT_CLIQUE_LIMIT} cliques exceeded")
         while cand:
             low = cand & -cand
             cand ^= low
@@ -115,6 +131,11 @@ def _clique_counts(rows: Sequence[int]) -> tuple[int, ...]:
             if grown:
                 stack.append((size + 1, grown))
     return tuple(counts)
+
+
+def _euler(rows: Sequence[int]) -> int:
+    """Euler characteristic of the clique complex of rows."""
+    return CliqueVector(_clique_counts(rows)).euler_characteristic()
 
 
 def _run(root):

@@ -10,6 +10,9 @@ contraction applies.  One search finds the disks: it grows connected
 interiors I breadth-first from the edges and keeps I when I + N(I) plus
 an apex over N(I) is an n-sphere, the cone test.  It needs no rim split:
 the rims of I are spheres, those of N(I) in the disk punctured spheres.
+Like recognition, the search works on M's bitmask rows and builds no
+DigitalSpace per candidate: the ring N(I) and the cone are row tuples
+handed to recognition's row-level sphere test.
 compress contracts edge-disks (interior exactly {v, u}) in deterministic
 edge order, and is_compressed looks for disks whose interior has at most
 a given number of points.
@@ -26,12 +29,12 @@ from .budget import Budget, ensure_budget
 from .canon import isomorphism
 from .recognition import (
     NotAManifoldError,
+    _sphere,
     recognize_closed_manifold,
     recognize_disk,
-    recognize_sphere,
     require_closed_manifold,
 )
-from .space import DigitalSpace, _bits
+from .space import DigitalSpace, _apex, _bits, _induced
 
 
 @dataclass(frozen=True)
@@ -127,11 +130,13 @@ def _disks(
     Interiors I grow breadth-first from the edges, in edge order, one
     neighbour at a time, as masks over M's rows; each costs one budget
     node.  I passes when its neighbours N(I) induce a (dim-1)-sphere and
-    the cone, I + N(I) plus an apex over N(I), is a dim-sphere.  That is
-    recognize_disk's cone test, and its rim split adds nothing: a point
-    of I has its whole rim, a (dim-1)-sphere, in I + N(I), and a point of
-    N(I) has there its rim in the cone minus the apex, a punctured
-    sphere, which is contractible and so no sphere.
+    the cone, I + N(I) plus an apex over N(I) (space._apex), is a
+    dim-sphere; both are row tuples for recognition's _sphere, and only a
+    passing disk's masks become point ids.  That is recognize_disk's
+    cone test, and its rim split adds nothing: a point of I has its
+    whole rim, a (dim-1)-sphere, in I + N(I), and a point of N(I) has
+    there its rim in the cone minus the apex, a punctured sphere, which
+    is contractible and so no sphere.
     """
     rows = M._rows
     queue = [1 << i | 1 << j for i, row in enumerate(rows) for j in _bits(row) if j > i]
@@ -142,12 +147,11 @@ def _disks(
         for p in _bits(inside):
             ring |= rows[p]
         ring &= ~inside
-        if recognize_sphere(M._induced_by_mask(ring), budget) == dim - 1:
-            boundary = M._ids_of(ring)
-            disk = M._induced_by_mask(inside | ring)
-            cone = disk.add_point(disk.fresh_id("apex"), boundary)
-            if recognize_sphere(cone, budget) == dim:
-                yield M._ids_of(inside), boundary
+        if (
+            _sphere(_induced(rows, ring), budget) == dim - 1
+            and _sphere(_apex(rows, inside | ring, ring), budget) == dim
+        ):
+            yield M._ids_of(inside), M._ids_of(ring)
         if inside.bit_count() < bound:
             for p in _bits(ring):
                 grown = inside | 1 << p

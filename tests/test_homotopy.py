@@ -34,7 +34,17 @@ from digitop import (
     simple_points,
     torus16,
 )
-from digitop import Budget, cache, canon, homotopy
+from digitop import (
+    Budget,
+    CompressionVerdict,
+    SpaceKind,
+    cache,
+    canon,
+    homotopy,
+    is_compressed,
+    recognize,
+    recognize_sphere,
+)
 from digitop.canon import canonical_encoding_rows
 
 
@@ -80,9 +90,43 @@ def test_deep_deletion_chain_needs_no_recursion():
 
 
 def test_search_builds_no_space_below_the_entry_point(cold_memo, monkeypatch):
-    """Search levels are rows: once is_contractible is entered, a cold
-    search builds no DigitalSpace for a rim or a deletion."""
-    spaces = [support.path(60), support.random_tree(random.Random(60), 60)]
+    """Search levels are rows: once a public entry point is entered, a
+    cold search builds no DigitalSpace for a rim, a deletion, a puncture
+    or a cone, in contractibility, recognition or the disk search."""
+    rng = random.Random(24004)
+    sphere = minimal_sphere(3)
+    while len(sphere) < 24:
+        sphere = r_transform(sphere, *rng.choice(sphere.edges))
+    rng = random.Random(4)
+    torus = torus16()
+    for _ in range(4):
+        torus = r_transform(torus, *rng.choice(torus.edges))
+    punctured = torus.delete_points([torus.points[0]])
+    queries = [
+        (is_contractible, support.path(60), True, True),
+        (is_contractible, support.random_tree(random.Random(60), 60), True, True),
+        # a 3-sphere: puncture tests, one per orbit
+        (recognize_sphere, sphere, 3, True),
+        (
+            lambda G, budget: recognize(G, budget).kind,
+            torus,
+            SpaceKind.CLOSED_MANIFOLD,
+            False,
+        ),
+        # both cone tests: the disk's fails, the bounded manifold's passes
+        (
+            lambda G, budget: recognize(G, budget).kind,
+            punctured,
+            SpaceKind.MANIFOLD_WITH_BOUNDARY,
+            False,
+        ),
+        (
+            lambda G, budget: is_compressed(G, 2, budget).verdict,
+            torus,
+            CompressionVerdict.NOT_COMPRESSED,
+            False,
+        ),
+    ]
     built = []
     original = DigitalSpace._from_rows
     monkeypatch.setattr(
@@ -90,12 +134,12 @@ def test_search_builds_no_space_below_the_entry_point(cold_memo, monkeypatch):
         "_from_rows",
         classmethod(lambda cls, ids, rows: built.append(len(rows)) or original(ids, rows)),
     )
-    for G in spaces:
+    for query, G, expected, deep in queries:
         cache.clear_all()
         budget = Budget()
-        assert is_contractible(G, budget)
-        # a deletion chain, not an answer at the root
-        assert budget.spent > 50
+        assert query(G, budget) == expected
+        # a deletion chain or puncture tests, not an answer at the root
+        assert budget.spent > 50 or not deep
     assert built == []
 
 

@@ -217,7 +217,7 @@ def test_clique_vector_matches_brute_force():
 def test_clique_budget_cap(monkeypatch):
     monkeypatch.setattr(space, "DEFAULT_CLIQUE_LIMIT", 1000)
     big = support.complete(12)
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded, match="clique"):
         big.clique_vector()
 
 
