@@ -7,9 +7,8 @@ For each size n in SIZES it runs is_contractible on path(n) and on a
 seeded random tree with n points, each with the memo tables cleared
 first, and prints one JSON row per run: input, n, wall_s, nodes (budget
 charged), canon_calls (canonical searches, counted by wrapping
-digitop.canon._canonical wherever a digitop module binds it) and
-subspaces (induced subspaces built, counted by wrapping
-DigitalSpace._induced_by_mask).  The next row holds
+digitop.canon._canonical) and subspaces (induced subspaces built,
+counted by wrapping DigitalSpace._induced_by_mask).  The next row holds
 the log-log slope of wall_s over the sizes of at least 100 points, per
 input, computed by bench/tracing.py's loglog_slope.  Then it runs
 catalog(n, max_points) for each pair in CATALOGS, memo cleared, with the
@@ -100,9 +99,7 @@ def main(argv=None) -> int:
         calls[0] += 1
         return canonical(rows)
 
-    for module in (canon, dg.recognition):
-        if getattr(module, "_canonical", None) is canonical:
-            module._canonical = counted
+    canon._canonical = counted
     subspaces = [0]
     induced = dg.DigitalSpace._induced_by_mask
 

@@ -40,9 +40,9 @@ from typing import NamedTuple
 
 from .budget import Budget, ensure_budget
 from .cache import MISSING, FormCache
-from .canon import _canonical, _orbits
+from . import canon
 from .homotopy import _contractible
-from .space import DigitalSpace, _apex, _euler, _induced, _reach, _without
+from .space import DigitalSpace, _apex, _connected, _euler, _induced, _without
 
 _SPHERE = FormCache()
 
@@ -125,7 +125,7 @@ def _sphere_walk(rows: tuple[int, ...], budget: Budget) -> tuple[int | None, int
         budget.charge()
         punctures_contractible = all(
             _contractible(_without(rows, orbit[0]), budget)
-            for orbit in _orbits(count, _canonical(rows)[2])
+            for orbit in canon._orbits(count, canon._canonical(rows)[2])
         )
         n = closed if punctures_contractible else None
     _SPHERE.put(rows, (n, closed))
@@ -139,8 +139,7 @@ def _closed_dim(rows: tuple[int, ...], budget: Budget) -> int | None:
     The first point's rim fixes the dimension; the scan stops at the
     first rim that disagrees.
     """
-    full = (1 << len(rows)) - 1
-    if full > 1 and _reach(rows, 1, full) != full:
+    if not _connected(rows):
         return None
     rim_dim = _sphere(_induced(rows, rows[0]), budget)
     if rim_dim is None or any(
@@ -150,14 +149,14 @@ def _closed_dim(rows: tuple[int, ...], budget: Budget) -> int | None:
     return rim_dim + 1
 
 
-def _cone(rows: tuple[int, ...], budget: Budget, test) -> tuple[int, int, int] | None:
-    """(n, boundary, interior), the last two masks, if test(cone) == n,
-    else None.
+def _cone(G: DigitalSpace, budget: Budget, test) -> DiskDecomposition | None:
+    """(n, boundary, interior) of G if test(cone) == n, else None.
 
     The interior is the points whose rims are spheres, all of one
     dimension n - 1, the boundary the others; both must be nonempty.
-    The cone is the space plus an apex over the boundary (space._apex).
+    The cone is G's rows plus an apex over the boundary (space._apex).
     """
+    rows = G._rows
     rim_dims = [_sphere(_induced(rows, row), budget) for row in rows]
     interior = sum(1 << i for i, dim in enumerate(rim_dims) if dim is not None)
     full = (1 << len(rows)) - 1
@@ -168,14 +167,6 @@ def _cone(rows: tuple[int, ...], budget: Budget, test) -> tuple[int, int, int] |
     n = dims.pop() + 1
     if test(_apex(rows, full, boundary), budget) != n:
         return None
-    return n, boundary, interior
-
-
-def _split(G: DigitalSpace, cone) -> DiskDecomposition | None:
-    """_cone's masks over G's rows as a DiskDecomposition of point ids."""
-    if cone is None:
-        return None
-    n, boundary, interior = cone
     return DiskDecomposition(n, G._ids_of(boundary), G._ids_of(interior))
 
 
@@ -193,7 +184,7 @@ def recognize_disk(
     budget = ensure_budget(budget)
     if len(G) == 1:
         return DiskDecomposition(0, (), (G.points[0],))
-    return _split(G, _cone(G._rows, budget, _sphere))
+    return _cone(G, budget, _sphere)
 
 
 def recognize_closed_manifold(
@@ -226,7 +217,7 @@ def recognize_manifold_with_boundary(
     budget = ensure_budget(budget)
     if len(G) < 2 or not G.is_connected():
         return None
-    return _split(G, _cone(G._rows, budget, _closed_dim))
+    return _cone(G, budget, _closed_dim)
 
 
 def recognize(G: DigitalSpace, budget: Budget | None = None) -> RecognitionResult:

@@ -65,6 +65,12 @@ def _reach(rows: Sequence[int], start: int, within: int) -> int:
     return seen
 
 
+def _connected(rows: Sequence[int]) -> bool:
+    """True for the empty and one-point spaces and for connected graphs."""
+    full = (1 << len(rows)) - 1
+    return full <= 1 or _reach(rows, 1, full) == full
+
+
 def _reindex(rows: Sequence[int], order: Sequence[int], within: int) -> list[int]:
     """Rows of order[0], order[1], ... renamed 0, 1, ...; within is the
     mask of order's points."""
@@ -424,8 +430,7 @@ class DigitalSpace:
 
     def is_connected(self) -> bool:
         """True for the empty and one-point spaces and for connected graphs."""
-        full = (1 << len(self._ids)) - 1
-        return full <= 1 or _reach(self._rows, 1, full) == full
+        return _connected(self._rows)
 
     def connected_components(self) -> tuple[tuple[str, ...], ...]:
         unvisited = full = (1 << len(self._ids)) - 1
