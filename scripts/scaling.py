@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Scaling rows for cold-memo contractibility, catalog growth and rims.
+"""Scaling rows for contractibility, catalogs, rims, compress, recognize, reduce.
 
     python3 scripts/scaling.py [--src DIR]
 
@@ -28,6 +28,11 @@ tables and runs compress, and prints wall_s, nodes, canon_calls,
 subspaces, spaces (every DigitalSpace built, counted by wrapping
 DigitalSpace._from_rows), the number of contraction steps and the final
 point count.
+Then, for each (points, strategy) in REDUCTIONS, it grows torus16 the
+same way to that many points, deletes its first point, clears the memo
+tables and runs reduce_space with that strategy, and prints wall_s,
+nodes, subspaces, spaces, the number of steps, the final point and edge
+counts and exhausted (the reduction stopped on BudgetExceeded).
 Then, for each size in RELABELED, it grows minimal_sphere(3) the same
 way to that many points, clears the memo tables, and runs recognize once
 cold and then on RELABELED_COPIES copies under shuffled labels, warm; it
@@ -67,6 +72,8 @@ GROWTH, RIM_BATCHES, RIM_PASSES = 10, 15, 200
 COMPRESSIONS = (("torus16", 50), ("torus16", 100), ("torus16", 200),
                 ("torus16", 400), ("projective_plane11", 60),
                 ("minimal_sphere3", 30), ("minimal_sphere3", 50))
+REDUCTIONS = ((50, "delete-only"), (100, "delete-only"), (200, "delete-only"),
+              (400, "delete-only"), (50, "attach-edges"))
 RELABELED, RELABELED_COPIES = (30, 50), 5
 CENSUS_POINTS = 9
 
@@ -82,6 +89,15 @@ def tree_space(dg, n: int):
     ids = [f"t{i:03d}" for i in range(n)]
     rng.shuffle(ids)
     return dg.DigitalSpace(ids, [(ids[rng.randrange(k)], ids[k]) for k in range(1, n)])
+
+
+def grown(dg, M, points: int):
+    """M grown by R-transforms on edges drawn with random.Random(points)
+    until it has that many points."""
+    rng = random.Random(points)
+    while len(M) < points:
+        M = dg.r_transform(M, *rng.choice(M.edges))
+    return M
 
 
 def main(argv=None) -> int:
@@ -190,10 +206,7 @@ def main(argv=None) -> int:
     starts = {"torus16": dg.torus16, "projective_plane11": dg.projective_plane11,
               "minimal_sphere3": lambda: dg.minimal_sphere(3)}
     for start_name, points in COMPRESSIONS:
-        M = starts[start_name]()
-        rng = random.Random(points)
-        while len(M) < points:
-            M = dg.r_transform(M, *rng.choice(M.edges))
+        M = grown(dg, starts[start_name](), points)
         dg.cache.clear_all()
         calls[0] = subspaces[0] = spaces[0] = 0
         budget = dg.Budget()
@@ -205,6 +218,22 @@ def main(argv=None) -> int:
                           "canon_calls": calls[0], "subspaces": subspaces[0],
                           "spaces": spaces[0], "steps": len(result.steps),
                           "final_points": len(result.space)}), flush=True)
+    for points, strategy in REDUCTIONS:
+        M = grown(dg, dg.torus16(), points)
+        M = M.delete_points([M.points[0]])
+        dg.cache.clear_all()
+        subspaces[0] = spaces[0] = 0
+        budget = dg.Budget()
+        start = time.perf_counter()
+        result = dg.reduce_space(M, dg.ReductionStrategy(strategy), budget)
+        wall = time.perf_counter() - start
+        print(json.dumps({"input": "reduce_torus16", "n": points, "strategy": strategy,
+                          "wall_s": round(wall, 4), "nodes": budget.spent,
+                          "subspaces": subspaces[0], "spaces": spaces[0],
+                          "steps": len(result.trace.steps),
+                          "final_points": len(result.space),
+                          "final_edges": result.space.edge_count,
+                          "exhausted": result.exhausted}), flush=True)
     for points in RELABELED:
         M = dg.minimal_sphere(3)
         rng = random.Random(points)

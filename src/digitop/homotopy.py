@@ -49,6 +49,12 @@ its parent's simple points and re-checks those rims alone, in point
 order.  Every other rim was decided at an ancestor, and asking again
 would only meet a memo hit or a prune, charging no node; only a table
 dropped on overflow in between would have charged again.
+
+The transformations test simplicity on rows too: _simple hands the mask
+of a rim O(v) or joint rim O(vu) over a space's rows to _contractible,
+re-indexed by space._induced.  The simplicity predicates, the four
+moves, contractible_witness and both reduce_space strategies call it,
+so the only DigitalSpace an applied step builds is the edited space.
 """
 
 from __future__ import annotations
@@ -63,6 +69,7 @@ from .space import (
     DigitalSpace,
     _bits,
     _drop,
+    _edges,
     _euler,
     _induced,
     _reach,
@@ -146,16 +153,24 @@ def _contractible_steps(rows: tuple[int, ...], inherited, budget: Budget):
     return result
 
 
+def _simple(rows: tuple[int, ...], mask: int, budget: Budget | None) -> bool:
+    """True when the subspace of rows induced by mask, a rim O(v) or a
+    joint rim O(vu), is contractible: the one simplicity test of the
+    contractible transformations."""
+    return _contractible(_induced(rows, mask), ensure_budget(budget))
+
+
 def is_simple_point(G: DigitalSpace, v: str, budget: Budget | None = None) -> bool:
     """True when the rim of v is contractible."""
-    return is_contractible(G.rim(v), budget)
+    return _simple(G._rows, G._rows[G._require(v)], budget)
 
 
 def is_simple_edge(G: DigitalSpace, v: str, u: str, budget: Budget | None = None) -> bool:
     """True when (v, u) is an edge and the joint rim is contractible."""
     if not G.adjacent(v, u):
         raise ValueError(f"no such edge: {v!r} -- {u!r}")
-    return is_contractible(G.joint_rim(v, u), budget)
+    rows = G._rows
+    return _simple(rows, rows[G._require(v)] & rows[G._require(u)], budget)
 
 
 def simple_points(G: DigitalSpace, budget: Budget | None = None) -> tuple[str, ...]:
@@ -217,11 +232,9 @@ class TransformTrace:
 def delete_simple_point(
     G: DigitalSpace, v: str, budget: Budget | None = None
 ) -> tuple[DigitalSpace, TransformStep]:
-    rim = G.rim(v)
-    if not is_contractible(rim, budget):
+    if not is_simple_point(G, v, budget):
         raise NotSimpleError(f"point {v!r} is not simple")
-    result = G.delete_points([v])
-    return result, TransformStep("delete-point", (v,), rim.points)
+    return G.delete_points([v]), TransformStep("delete-point", (v,), G.neighbors(v))
 
 
 def attach_simple_point(
@@ -231,21 +244,17 @@ def attach_simple_point(
     budget: Budget | None = None,
 ) -> tuple[DigitalSpace, TransformStep]:
     rim_points = tuple(sorted(rim_points))
-    if not is_contractible(G.induced_subspace(rim_points), budget):
+    if not _simple(G._rows, G._mask_of(rim_points), budget):
         raise NotSimpleError(f"attachment rim for {v!r} is not contractible")
-    result = G.add_point(v, rim_points)
-    return result, TransformStep("attach-point", (v,), rim_points)
+    return G.add_point(v, rim_points), TransformStep("attach-point", (v,), rim_points)
 
 
 def delete_simple_edge(
     G: DigitalSpace, v: str, u: str, budget: Budget | None = None
 ) -> tuple[DigitalSpace, TransformStep]:
-    if not G.adjacent(v, u):
-        raise ValueError(f"no such edge: {v!r} -- {u!r}")
-    if not is_contractible(G.joint_rim(v, u), budget):
+    if not is_simple_edge(G, v, u, budget):
         raise NotSimpleError(f"edge {v!r} -- {u!r} is not simple")
-    result = G.remove_edge(v, u)
-    return result, TransformStep("delete-edge", tuple(sorted((v, u))))
+    return G.remove_edge(v, u), TransformStep("delete-edge", tuple(sorted((v, u))))
 
 
 def attach_simple_edge(
@@ -253,10 +262,10 @@ def attach_simple_edge(
 ) -> tuple[DigitalSpace, TransformStep]:
     if v == u or G.adjacent(v, u):
         raise ValueError(f"attach_simple_edge needs a non-adjacent pair: {v!r}, {u!r}")
-    if not is_contractible(G.joint_rim(v, u), budget):
+    rows = G._rows
+    if not _simple(rows, rows[G._require(v)] & rows[G._require(u)], budget):
         raise NotSimpleError(f"common rim of {v!r}, {u!r} is not contractible")
-    result = G.add_edge(v, u)
-    return result, TransformStep("attach-edge", tuple(sorted((v, u))))
+    return G.add_edge(v, u), TransformStep("attach-edge", tuple(sorted((v, u))))
 
 
 def apply_step(
@@ -312,20 +321,16 @@ def contractible_witness(
         raise ValueError("space is not contractible")
     start = canonical_form(G).encoding
     steps = []
-    current = G
-    while len(current) > 1:
-        for v in current.points:
-            try:
-                after, step = delete_simple_point(current, v, budget)
-            except NotSimpleError:
-                continue
-            if is_contractible(after, budget):
-                current = after
-                steps.append(step)
+    while len(G) > 1:
+        rows = G._rows
+        for i, row in enumerate(rows):
+            if _simple(rows, row, budget) and _contractible(_without(rows, i), budget):
                 break
         else:  # pragma: no cover - contradicts contractibility
             raise AssertionError("no usable simple point in a contractible space")
-    return TransformTrace(start, tuple(steps), canonical_form(current).encoding)
+        steps.append(TransformStep("delete-point", (G._ids[i],), G._ids_of(row)))
+        G = G.delete_points(steps[-1].points)
+    return TransformTrace(start, tuple(steps), canonical_form(G).encoding)
 
 
 # -- reduction -------------------------------------------------------------------
@@ -380,74 +385,69 @@ def reduce_space(
     return ReduceResult(current, trace, exhausted)
 
 
-def _first_move(G: DigitalSpace, move, candidates, budget: Budget, failed=None):
-    """(space, step) of the first candidate move that is simple, else None.
-    Candidates in failed are skipped, and candidates found not simple
-    join it."""
-    failed = set() if failed is None else failed
-    for args in candidates:
-        if args in failed:
-            continue
-        try:
-            return move(G, *args, budget)
-        except NotSimpleError:
-            failed.add(args)
-    return None
-
-
 def _delete_moves(G: DigitalSpace, budget: Budget):
     """Delete simple points, then simple edges, until neither applies;
     yields each (space, step) and returns the final space.
 
-    Simplicity depends on the rim alone, so a point found not simple is
-    not tried again until a deletion changes its rim: deleting a point
-    changes its neighbours' rims, and deleting an edge those of its ends
-    and of their common neighbours.
+    Each sweep walks G's rows in index order, tests point i by _simple
+    on rows[i] and edge ij on rows[i] & rows[j], deletes the first that
+    passes and re-reads the rows.  Simplicity depends on the rim alone,
+    so not_simple, an index mask of points found not simple, skips them
+    until a deletion changes their rims: deleting point i changes its
+    neighbours' (not_simple is re-indexed with _drop), deleting edge ij
+    those of i, j and their common neighbours.
     """
-    not_simple: set[tuple[str]] = set()
-    while True:
-        progressed = False
-        while len(G) > 1 and (
-            done := _first_move(G, delete_simple_point, zip(G.points), budget, not_simple)
-        ):
-            not_simple.difference_update(zip(G.neighbors(*done[1].points)))
-            G = done[0]
-            yield done
-            progressed = True
-        while done := _first_move(G, delete_simple_edge, G.edges, budget):
-            v, u = done[1].points
-            not_simple.difference_update(
-                zip({v, u} | set(G.neighbors(v)) & set(G.neighbors(u)))
-            )
-            G = done[0]
-            yield done
-            progressed = True
-        if not progressed:
-            return G
+    not_simple = 0
+    size = None
+    while size != (len(G), G.edge_count):
+        size = (len(G), G.edge_count)
+        while len(G) > 1:
+            rows = G._rows
+            for i in _bits((1 << len(rows)) - 1 & ~not_simple):
+                if _simple(rows, rows[i], budget):
+                    break
+                not_simple |= 1 << i
+            else:
+                break
+            step = TransformStep("delete-point", (G._ids[i],), G._ids_of(rows[i]))
+            not_simple = _drop(not_simple & ~rows[i], i)
+            G = G.delete_points(step.points)
+            yield G, step
+        while True:
+            rows = G._rows
+            for i, j in _edges(rows):
+                if _simple(rows, rows[i] & rows[j], budget):
+                    break
+            else:
+                break
+            step = TransformStep("delete-edge", (G._ids[i], G._ids[j]))
+            not_simple &= ~(1 << i | 1 << j | rows[i] & rows[j])
+            G = G.remove_edge(*step.points)
+            yield G, step
+    return G
 
 
 def _attach_moves(G: DigitalSpace, budget: Budget):
-    """Attach every simple edge, in pair order, then delete; repeat
-    until a round leaves the point and edge counts unchanged."""
-    while True:
-        size_before = (len(G), G.edge_count)
-        attached = True
-        while attached:
-            attached = False
-            points = G.points
-            for i, v in enumerate(points):
-                for u in points[i + 1 :]:
-                    if G.adjacent(v, u):
-                        continue
-                    try:
-                        G, step = attach_simple_edge(G, v, u, budget)
-                    except NotSimpleError:
-                        continue
-                    yield G, step
-                    attached = True
+    """Attach every simple edge, in pair order, until a pass attaches
+    none, then delete; repeat until a round leaves the point and edge
+    counts unchanged.  A pair ij is tested by _simple on rows[i] &
+    rows[j], re-read after every attachment."""
+    size = None
+    while size != (len(G), G.edge_count):
+        size = (len(G), G.edge_count)
+        edges = None
+        while edges != G.edge_count:
+            edges = G.edge_count
+            for i in range(len(G)):
+                # the pairs ij, j > i, that are not edges when the scan reaches i
+                for j in _bits((1 << len(G)) - 1 & ~(G._rows[i] | (2 << i) - 1)):
+                    rows = G._rows
+                    if _simple(rows, rows[i] & rows[j], budget):
+                        step = TransformStep("attach-edge", (G._ids[i], G._ids[j]))
+                        G = G.add_edge(*step.points)
+                        yield G, step
         G = yield from _delete_moves(G, budget)
-        if (len(G), G.edge_count) == size_before:
-            return G
+    return G
 
 
 # -- homotopy comparison -----------------------------------------------------------

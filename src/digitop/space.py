@@ -11,9 +11,9 @@ DigitalSpace is immutable: every operation returns a new space.  It
 holds only its sorted point ids (matching [A-Za-z0-9_]+, found by
 bisection), one integer bitmask row per point and a cache.  The row
 kernel shared by canon, homotopy, recognition, transform and classify
-lives here too: _drop, _gap, _bits, _reach, _reindex, _induced, _apex,
-_without, _clique_counts and _euler, and _run, which runs the canonical
-and contractibility searches on an explicit stack.
+lives here too: _drop, _gap, _bits, _edges, _reach, _reindex, _induced,
+_apex, _without, _clique_counts and _euler, and _run, which runs the
+canonical and contractibility searches on an explicit stack.
 """
 
 from __future__ import annotations
@@ -63,6 +63,13 @@ def _reach(rows: Sequence[int], start: int, within: int) -> int:
         frontier = reach & ~seen
         seen |= reach
     return seen
+
+
+def _edges(rows: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """(i, j), i < j, for each edge of rows, in edge order."""
+    for i, row in enumerate(rows):
+        for j in _bits(row >> i + 1 << i + 1):
+            yield i, j
 
 
 def _connected(rows: Sequence[int]) -> bool:
@@ -266,15 +273,7 @@ class DigitalSpace:
 
     @property
     def edges(self) -> tuple[tuple[str, str], ...]:
-        out = []
-        for i, row in enumerate(self._rows):
-            # only the upper triangle, so each edge appears once
-            high = row >> (i + 1) << (i + 1)
-            while high:
-                j = (high & -high).bit_length() - 1
-                high &= high - 1
-                out.append((self._ids[i], self._ids[j]))
-        return tuple(out)
+        return tuple((self._ids[i], self._ids[j]) for i, j in _edges(self._rows))
 
     @property
     def edge_count(self) -> int:

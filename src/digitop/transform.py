@@ -34,7 +34,7 @@ from .recognition import (
     recognize_disk,
     require_closed_manifold,
 )
-from .space import DigitalSpace, _apex, _bits, _induced
+from .space import DigitalSpace, _apex, _bits, _edges, _induced
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ def r_transform(
         raise ValueError(f"no such edge: {v!r} -- {u!r}")
     if fresh is None:
         fresh = M.fresh_id()
-    common = M.joint_rim(v, u).points
+    common = M._ids_of(M._rows[M._require(v)] & M._rows[M._require(u)])
     return M.add_point(fresh, (v, u) + common).remove_edge(v, u)
 
 
@@ -139,7 +139,7 @@ def _disks(
     is contractible and so no sphere.
     """
     rows = M._rows
-    queue = [1 << i | 1 << j for i, row in enumerate(rows) for j in _bits(row) if j > i]
+    queue = [1 << i | 1 << j for i, j in _edges(rows)]
     seen = set(queue)
     for inside in queue:
         budget.charge()

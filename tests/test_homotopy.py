@@ -89,7 +89,31 @@ def test_deep_deletion_chain_needs_no_recursion():
         sys.setrecursionlimit(limit)
 
 
-def test_search_builds_no_space_below_the_entry_point(cold_memo, monkeypatch):
+@pytest.fixture
+def built_spaces(monkeypatch):
+    """Point counts of the DigitalSpaces built during the test, counted
+    at DigitalSpace._from_rows."""
+    built = []
+    original = DigitalSpace._from_rows
+    monkeypatch.setattr(
+        DigitalSpace,
+        "_from_rows",
+        classmethod(lambda cls, ids, rows: built.append(len(rows)) or original(ids, rows)),
+    )
+    return built
+
+
+def _grown_torus():
+    """torus16 grown by four seeded R-transforms, and that space with its
+    first point deleted."""
+    rng = random.Random(4)
+    torus = torus16()
+    for _ in range(4):
+        torus = r_transform(torus, *rng.choice(torus.edges))
+    return torus, torus.delete_points([torus.points[0]])
+
+
+def test_search_builds_no_space_below_the_entry_point(cold_memo, built_spaces):
     """Search levels are rows: once a public entry point is entered, a
     cold search builds no DigitalSpace for a rim, a deletion, a puncture
     or a cone, in contractibility, recognition or the disk search."""
@@ -97,11 +121,7 @@ def test_search_builds_no_space_below_the_entry_point(cold_memo, monkeypatch):
     sphere = minimal_sphere(3)
     while len(sphere) < 24:
         sphere = r_transform(sphere, *rng.choice(sphere.edges))
-    rng = random.Random(4)
-    torus = torus16()
-    for _ in range(4):
-        torus = r_transform(torus, *rng.choice(torus.edges))
-    punctured = torus.delete_points([torus.points[0]])
+    torus, punctured = _grown_torus()
     queries = [
         (is_contractible, support.path(60), True, True),
         (is_contractible, support.random_tree(random.Random(60), 60), True, True),
@@ -127,20 +147,35 @@ def test_search_builds_no_space_below_the_entry_point(cold_memo, monkeypatch):
             False,
         ),
     ]
-    built = []
-    original = DigitalSpace._from_rows
-    monkeypatch.setattr(
-        DigitalSpace,
-        "_from_rows",
-        classmethod(lambda cls, ids, rows: built.append(len(rows)) or original(ids, rows)),
-    )
+    built_spaces.clear()
     for query, G, expected, deep in queries:
         cache.clear_all()
         budget = Budget()
         assert query(G, budget) == expected
         # a deletion chain or puncture tests, not an answer at the root
         assert budget.spent > 50 or not deep
-    assert built == []
+    assert built_spaces == []
+
+
+def test_each_applied_step_builds_one_space(cold_memo, built_spaces):
+    """Transformations test simplicity on rows: reduce_space and
+    contractible_witness build one DigitalSpace per recorded step, the
+    edited space, and an R-transform two, with the new point and without
+    the old edge."""
+    torus, punctured = _grown_torus()
+    disk = minimal_disk(3)
+    for strategy in ReductionStrategy:
+        cache.clear_all()
+        built_spaces.clear()
+        steps = reduce_space(punctured, strategy).trace.steps
+        assert len(built_spaces) == len(steps) > 0, strategy
+    cache.clear_all()
+    built_spaces.clear()
+    steps = contractible_witness(disk).steps
+    assert len(built_spaces) == len(steps) > 0
+    built_spaces.clear()
+    r_transform(torus, *torus.edges[0])
+    assert len(built_spaces) == 2
 
 
 def test_simple_point_examples():
