@@ -138,9 +138,10 @@ def catalog(n: int, max_points: int, budget: Budget | None = None) -> Catalog:
             space = DigitalSpace._from_rows(
                 [f"v{k:0{width}d}" for k in range(len(rows))], rows
             )
+            # public, not _closed_dim: a traced run then records a recognition span
             if recognize_closed_manifold(space, budget) != n:
                 continue
-            if next(_disks(space, n, 2, budget), None) is not None:
+            if next(_disks(space._rows, n, 2, budget), None) is not None:
                 continue
             entries.append(
                 CatalogEntry(

@@ -230,7 +230,6 @@ def _cmd_iso(args: argparse.Namespace) -> int:
 def _cmd_reduce(args: argparse.Namespace) -> int:
     G = _read_space(args.file)
     if args.delete_point is not None:
-        _require_point(G, args.delete_point)
         G = G.delete_points([args.delete_point])
     result = reduce_space(G, ReductionStrategy(args.strategy), _budget(args))
     lines = [serialize(result.space).rstrip("\n")]

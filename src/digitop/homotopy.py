@@ -302,7 +302,7 @@ def replay(
     for step in trace.steps:
         try:
             current = apply_step(current, step, budget)
-        except (NotSimpleError, ValueError) as exc:
+        except ValueError as exc:
             raise TraceError(f"step {step} failed: {exc}") from exc
     if canonical_form(current).encoding != trace.end:
         raise TraceError("end space does not match the trace")

@@ -188,10 +188,6 @@ class CliqueVector:
     def edges(self) -> int:
         return self.counts[1] if len(self.counts) > 1 else 0
 
-    @property
-    def max_clique(self) -> int:
-        return len(self.counts)
-
     def euler_characteristic(self) -> int:
         # Alternating sum over the clique complex: f0 - f1 + f2 - ...
         return sum(self.counts[::2]) - sum(self.counts[1::2])

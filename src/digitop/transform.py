@@ -12,7 +12,13 @@ an apex over N(I) is an n-sphere, the cone test.  It needs no rim split:
 the rims of I are spheres, those of N(I) in the disk punctured spheres.
 Like recognition, the search works on M's bitmask rows and builds no
 DigitalSpace per candidate: the ring N(I) and the cone are row tuples
-handed to recognition's row-level sphere test.
+handed to recognition's row-level sphere test; the search yields masks.
+contract_disk runs the same cone on a given set D, with I the points of
+D whose neighbours all lie in D.  In a closed manifold that decides "D
+is a disk whose interior has no neighbour outside D": the rims of I are
+M's, spheres; a ring point's cone rim is a sphere, so its rim in D is a
+punctured one; a point with no neighbour in I gets a cone as cone rim.
+It runs no ring test, which would refuse S0's 0-disk {a} (empty ring).
 compress contracts edge-disks (interior exactly {v, u}) in deterministic
 edge order, and is_compressed looks for disks whose interior has at most
 a given number of points.
@@ -31,7 +37,6 @@ from .recognition import (
     NotAManifoldError,
     _sphere,
     recognize_closed_manifold,
-    recognize_disk,
     require_closed_manifold,
 )
 from .space import DigitalSpace, _apex, _bits, _edges, _induced
@@ -88,25 +93,27 @@ def contract_disk(
     fresh: str | None = None,
     budget: Budget | None = None,
 ) -> DigitalSpace:
-    """Replace the interior of an embedded n-disk by one fresh point."""
+    """Replace the interior of an embedded n-disk by one fresh point.
+
+    The disk search's cone test decides the given points D: the
+    interior I is the points of D whose neighbours are all in D, and D
+    plus an apex over D - I must be an n-sphere.  In the closed
+    n-manifold M this holds exactly when D induces an n-disk with
+    interior I: I's rims are M's, (n-1)-spheres; a ring point's cone rim
+    is a sphere, so its rim in D is a punctured one, contractible and no
+    sphere; a point of D with no neighbour in I gets a cone as cone rim.
+    S0's 0-disk {a} passes (its cone is S0), though its empty ring would
+    fail the search's ring test, which is why none is run here.
+    """
     budget = ensure_budget(budget)
     dim = require_closed_manifold(M, budget)
-    disk_points = tuple(sorted(disk_points))
-    disk = recognize_disk(M.induced_subspace(disk_points), budget)
-    if disk is None:
-        raise ValueError("the given points do not induce a digital disk")
-    if disk.dimension != dim:
-        raise ValueError(
-            f"disk dimension {disk.dimension} does not match manifold dimension {dim}"
-        )
-    inside = set(disk_points)
-    for y in disk.interior:
-        # interior points must not touch the manifold outside the disk
-        if any(nbr not in inside for nbr in M.neighbors(y)):
-            raise ValueError(f"interior point {y!r} has neighbours outside the disk")
+    disk = M._mask_of(disk_points)
+    inside = sum(1 << p for p in _bits(disk) if not M._rows[p] & ~disk)
+    if _sphere(_apex(M._rows, disk, disk & ~inside), budget) != dim:
+        raise ValueError(f"the points induce no {dim}-disk whose interior stays inside them")
     if fresh is None:
         fresh = M.fresh_id()
-    return M.delete_points(disk.interior).add_point(fresh, disk.boundary)
+    return M.delete_points(M._ids_of(inside)).add_point(fresh, M._ids_of(disk & ~inside))
 
 
 def find_edge_disks(
@@ -118,27 +125,23 @@ def find_edge_disks(
     """
     budget = ensure_budget(budget)
     dim = require_closed_manifold(M, budget)
-    return [interior for interior, _ in _disks(M, dim, 2, budget)]
+    return [M._ids_of(inside) for inside, _ in _disks(M._rows, dim, 2, budget)]
 
 
 def _disks(
-    M: DigitalSpace, dim: int, bound: int, budget: Budget
-) -> Iterator[tuple[tuple[str, ...], tuple[str, ...]]]:
-    """(interior, boundary) for each embedded dim-disk of the dim-manifold M
-    whose interior is a connected set of 2..bound points, both sorted.
+    rows: tuple[int, ...], dim: int, bound: int, budget: Budget
+) -> Iterator[tuple[int, int]]:
+    """Masks (I, N(I)) of each embedded dim-disk I + N(I) of the rows'
+    dim-manifold with I a connected set of 2..bound points.
 
     Interiors I grow breadth-first from the edges, in edge order, one
-    neighbour at a time, as masks over M's rows; each costs one budget
+    neighbour at a time, as masks over the rows; each costs one budget
     node.  I passes when its neighbours N(I) induce a (dim-1)-sphere and
     the cone, I + N(I) plus an apex over N(I) (space._apex), is a
-    dim-sphere; both are row tuples for recognition's _sphere, and only a
-    passing disk's masks become point ids.  That is recognize_disk's
-    cone test, and its rim split adds nothing: a point of I has its
-    whole rim, a (dim-1)-sphere, in I + N(I), and a point of N(I) has
-    there its rim in the cone minus the apex, a punctured sphere, which
-    is contractible and so no sphere.
+    dim-sphere; both are row tuples for recognition's _sphere.  That is
+    recognize_disk's cone test, whose rim split adds nothing: a point of
+    N(I) has a punctured sphere as its rim in I + N(I), no sphere.
     """
-    rows = M._rows
     queue = [1 << i | 1 << j for i, j in _edges(rows)]
     seen = set(queue)
     for inside in queue:
@@ -151,7 +154,7 @@ def _disks(
             _sphere(_induced(rows, ring), budget) == dim - 1
             and _sphere(_apex(rows, inside | ring, ring), budget) == dim
         ):
-            yield M._ids_of(inside), M._ids_of(ring)
+            yield inside, ring
         if inside.bit_count() < bound:
             for p in _bits(ring):
                 grown = inside | 1 << p
@@ -174,8 +177,8 @@ def compress(M: DigitalSpace, budget: Budget | None = None) -> CompressionResult
     dim = require_closed_manifold(M, budget)
     current = M
     steps: list[ContractionStep] = []
-    while (disk := next(_disks(current, dim, 2, budget), None)) is not None:
-        interior, boundary = disk
+    while (disk := next(_disks(current._rows, dim, 2, budget), None)) is not None:
+        interior, boundary = map(current._ids_of, disk)
         fresh = current.fresh_id()
         current = current.delete_points(interior).add_point(fresh, boundary)
         if recognize_closed_manifold(current, budget) != dim:
@@ -202,11 +205,9 @@ def is_compressed(
         raise ValueError("interior_bound must be at least 2")
     budget = ensure_budget(budget)
     dim = require_closed_manifold(M, budget)
-    disk = next(_disks(M, dim, interior_bound, budget), None)
+    disk = next(_disks(M._rows, dim, interior_bound, budget), None)
     if disk is not None:
-        return CompressionCheck(
-            CompressionVerdict.NOT_COMPRESSED, tuple(sorted(disk[0] + disk[1]))
-        )
+        return CompressionCheck(CompressionVerdict.NOT_COMPRESSED, M._ids_of(disk[0] | disk[1]))
     verdict = (
         CompressionVerdict.EDGE_COMPRESSED
         if interior_bound == 2

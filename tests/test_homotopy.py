@@ -40,6 +40,7 @@ from digitop import (
     SpaceKind,
     cache,
     canon,
+    contract_disk,
     homotopy,
     is_compressed,
     recognize,
@@ -116,12 +117,14 @@ def _grown_torus():
 def test_search_builds_no_space_below_the_entry_point(cold_memo, built_spaces):
     """Search levels are rows: once a public entry point is entered, a
     cold search builds no DigitalSpace for a rim, a deletion, a puncture
-    or a cone, in contractibility, recognition or the disk search."""
+    or a cone, in contractibility, recognition, the disk search or a
+    rejected disk contraction."""
     rng = random.Random(24004)
     sphere = minimal_sphere(3)
     while len(sphere) < 24:
         sphere = r_transform(sphere, *rng.choice(sphere.edges))
     torus, punctured = _grown_torus()
+    rim = torus.neighbors(torus.points[0])
     queries = [
         (is_contractible, support.path(60), True, True),
         (is_contractible, support.random_tree(random.Random(60), 60), True, True),
@@ -154,16 +157,21 @@ def test_search_builds_no_space_below_the_entry_point(cold_memo, built_spaces):
         assert query(G, budget) == expected
         # a deletion chain or puncture tests, not an answer at the root
         assert budget.spent > 50 or not deep
+    cache.clear_all()
+    with pytest.raises(ValueError, match="disk"):
+        contract_disk(torus, rim)
     assert built_spaces == []
 
 
 def test_each_applied_step_builds_one_space(cold_memo, built_spaces):
     """Transformations test simplicity on rows: reduce_space and
     contractible_witness build one DigitalSpace per recorded step, the
-    edited space, and an R-transform two, with the new point and without
-    the old edge."""
+    edited space, an R-transform two, with the new point and without
+    the old edge, and a disk contraction two, without the interior and
+    with the new point."""
     torus, punctured = _grown_torus()
     disk = minimal_disk(3)
+    witness = is_compressed(torus).witness
     for strategy in ReductionStrategy:
         cache.clear_all()
         built_spaces.clear()
@@ -175,6 +183,10 @@ def test_each_applied_step_builds_one_space(cold_memo, built_spaces):
     assert len(built_spaces) == len(steps) > 0
     built_spaces.clear()
     r_transform(torus, *torus.edges[0])
+    assert len(built_spaces) == 2
+    cache.clear_all()
+    built_spaces.clear()
+    contract_disk(torus, witness)
     assert len(built_spaces) == 2
 
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+from functools import reduce
+from operator import or_
 
 import pytest
 
@@ -199,6 +201,72 @@ def test_contract_disk_on_grown_sphere():
     assert "q" in contracted
 
 
+def _contract_disk_cases():
+    """(M, point mask) pairs: every subset of small closed manifolds, S0
+    among them, whose {a} is a 0-disk with an empty boundary; on torus16
+    each I + N(I) for a connected I of 1..3 points, and a seeded sample
+    of other subsets."""
+    small = [
+        support.cycle(4),
+        support.cycle(7),
+        DigitalSpace(["a", "b"]),
+        minimal_sphere(2),
+        _grown(minimal_sphere(2), 1, 2),
+        _grown(minimal_sphere(2), 2, 4),
+        minimal_sphere(3),
+        _grown(minimal_sphere(3), 3, 2),
+        projective_plane11(),
+    ]
+    for M in small:
+        for mask in range(1 << len(M)):
+            yield M, mask
+    T = torus16()
+    rows = support.rows_of(T)
+
+    def with_neighbours(inside):
+        return inside | reduce(or_, (row for i, row in enumerate(rows) if inside >> i & 1))
+
+    interiors = {1 << i for i in range(len(rows))}
+    for _ in range(2):
+        interiors |= {
+            inside | 1 << j
+            for inside in interiors
+            for j in range(len(rows))
+            if with_neighbours(inside) >> j & 1
+        }
+    rng = random.Random(16)
+    balls = sorted({with_neighbours(inside) for inside in interiors})
+    for mask in balls + [rng.getrandbits(len(rows)) for _ in range(300)]:
+        yield T, mask
+
+
+def test_contract_disk_matches_the_disk_definition():
+    """contract_disk accepts D exactly when D induces a disk of M's
+    dimension (the literal recognizer) whose interior has no neighbour
+    outside D, and the fresh point's rim is then that disk's boundary."""
+    accepted = rejected = 0
+    for M, mask in _contract_disk_cases():
+        rows = support.rows_of(M)
+        dim = support.literal_closed(rows)
+        positions = [i for i in range(len(M)) if mask >> i & 1]
+        points = [M.points[i] for i in positions]
+        n, boundary, interior = support.literal_disk(support.sub_rows(rows, mask)) or (None, 0, 0)
+        inner = [positions[k] for k in range(len(positions)) if interior >> k & 1]
+        if n != dim or any(rows[i] & ~mask for i in inner):
+            with pytest.raises(ValueError):
+                contract_disk(M, points)
+            rejected += 1
+            continue
+        contracted = contract_disk(M, points)
+        fresh = M.fresh_id()
+        assert set(contracted.points) == set(M.points) - {M.points[i] for i in inner} | {fresh}
+        assert set(contracted.neighbors(fresh)) == {
+            p for k, p in enumerate(points) if boundary >> k & 1
+        }, (M.points, points)
+        accepted += 1
+    assert accepted > 150 and rejected > 5000
+
+
 def test_is_compressed_checks_its_bound_first():
     """A bad bound is an argument error, whatever the space, and is found
     before any rim is walked: a cold S3 would charge its rims' nodes."""
@@ -268,9 +336,9 @@ def test_is_compressed_matches_reference_subset_search():
 def test_disk_search_finds_three_point_interiors():
     grown = _grown(minimal_sphere(2), 1, 3)
     disks = [
-        disk
-        for disk in transform._disks(grown, 2, 3, Budget(100_000))
-        if len(disk[0]) == 3
+        tuple(map(grown._ids_of, disk))
+        for disk in transform._disks(grown._rows, 2, 3, Budget(100_000))
+        if disk[0].bit_count() == 3
     ]
     assert disks
     interior, boundary = disks[0]
@@ -310,7 +378,10 @@ def test_disk_search_matches_the_rim_split_search():
         dim = recognize_closed_manifold(M)
         cache.clear_all()
         budget = Budget(None)
-        disks = list(transform._disks(M, dim, bound, budget))
+        disks = [
+            tuple(map(M._ids_of, disk))
+            for disk in transform._disks(M._rows, dim, bound, budget)
+        ]
         expected, tried = support.literal_disks(M, dim, bound)
         assert disks == expected, (M.points, bound)
         assert (budget.spent == tried) if dim < 3 else (budget.spent >= tried), (M.points, bound)
