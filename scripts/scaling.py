@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Scaling rows for contractibility, catalogs, rims, compress, recognize, reduce.
+"""Scaling rows for contractibility, witnesses, catalogs, rims, compress, recognize, reduce.
 
     python3 scripts/scaling.py [--src DIR]
 
@@ -7,10 +7,13 @@ For each size n in SIZES it runs is_contractible on path(n) and on a
 seeded random tree with n points, each with the memo tables cleared
 first, and prints one JSON row per run: input, n, wall_s, nodes (budget
 charged), canon_calls (canonical searches, counted by wrapping
-digitop.canon._canonical) and subspaces (induced subspaces built,
-counted by wrapping DigitalSpace._induced_by_mask).  The next row holds
-the log-log slope of wall_s over the sizes of at least 100 points, per
-input, computed by bench/tracing.py's loglog_slope.  Then it runs
+digitop.canon._canonical) and subspaces (subspaces built as
+DigitalSpaces, deletions of points included, counted by wrapping
+DigitalSpace._induced_by_mask).  The next row holds the log-log slope
+of wall_s over the sizes of at least 100 points, per input, computed
+by bench/tracing.py's loglog_slope.  Then, for each size in WITNESSES,
+it runs contractible_witness on path(n), memo cleared, and prints the
+same fields plus the number of steps.  Then it runs
 catalog(n, max_points) for each pair in CATALOGS, memo cleared, with the
 default catalog budget, and prints the same fields plus exhaustive and
 the entry count.  Then it runs is_contractible on the complete graph
@@ -63,6 +66,7 @@ sys.path.insert(0, str(REPO / "bench"))
 from tracing import loglog_slope  # noqa: E402
 
 SIZES = (50, 100, 200, 400, 800)
+WITNESSES = (100, 200, 400, 800)
 CATALOGS = ((2, 7), (2, 8), (2, 9), (2, 10), (3, 8), (3, 9), (3, 10), (3, 11),
             (4, 11))
 CONES = (20, 24, 200)
@@ -152,6 +156,18 @@ def main(argv=None) -> int:
         name: round(loglog_slope(points), 3)
         for name, points in slopes.items()
     }}), flush=True)
+    for n in WITNESSES:
+        space = path_space(dg, n)
+        dg.cache.clear_all()
+        calls[0] = subspaces[0] = 0
+        budget = dg.Budget()
+        start = time.perf_counter()
+        trace = dg.contractible_witness(space, budget)
+        wall = time.perf_counter() - start
+        print(json.dumps({"input": "witness_path", "n": n, "wall_s": round(wall, 4),
+                          "nodes": budget.spent, "canon_calls": calls[0],
+                          "subspaces": subspaces[0], "steps": len(trace.steps)}),
+              flush=True)
     for n, max_points in CATALOGS:
         dg.cache.clear_all()
         calls[0] = 0

@@ -67,11 +67,6 @@ def _budget(args: argparse.Namespace) -> Budget | None:
     return None if args.budget is None else Budget(args.budget)
 
 
-def _require_point(G: DigitalSpace, point: str) -> None:
-    if point not in G:
-        raise UsageError(f"no such point: {point!r}")
-
-
 # -- subcommand handlers -----------------------------------------------------------
 
 
@@ -151,8 +146,6 @@ def _cmd_rtransform(args: argparse.Namespace) -> int:
     if len(parts) != 2 or not all(parts):
         raise UsageError("--edge expects two point ids separated by a comma")
     v, u = parts
-    _require_point(G, v)
-    _require_point(G, u)
     if not G.adjacent(v, u):
         raise UsageError(f"no such edge: {v!r} -- {u!r}")
     result = r_transform(G, v, u, fresh=args.fresh, budget=_budget(args))

@@ -33,16 +33,18 @@ chi(O(v)), so chi stays 1.
 Each level is a generator, _contractible_steps, which yields those of
 its rims and deletions; space._run drives them on an explicit stack.
 A level is a tuple of bitmask rows, which is also its memo key, and no
-DigitalSpace is built below the public entry points: is_contractible
-hands its space's rows to _contractible, which recognition's puncture
-test calls too, a rim is its mask re-indexed (space._induced), and a
-deletion slices out one row and shifts the others past it
-(space._without).  Every root, a top-level call included, counts its
-cliques for chi on its rows.  A rim that (a) or (b)
-decides, one with at most one point or a disconnected one, is decided
-on its parent's rows and the rim's mask, with no rows built.  (a) and
-(b) come before a root's memo lookup, so deciding them in the parent
-skips no lookup and no charge.
+DigitalSpace is built below the public entry points.  A root is asked
+for as (rows, mask), a space's rows and the mask of the subspace: the
+whole space for is_contractible, a rim or joint rim for the
+transformations, a puncture for recognition and contractible_witness.
+_contractible, and a level for each of its rims, decides (a) and (b)
+from the mask on those rows, and builds the root's rows
+(space._induced) only for a subspace they leave open, one that is
+connected and has two or more points.  (a) and (b) come before a
+root's memo lookup, so deciding them first skips no lookup and no
+charge.  A deletion down a chain slices out one row and shifts the
+others past it (space._without).  Every root, a top-level call
+included, counts its cliques for chi on its rows.
 
 Deleting v changes only the rims of v's neighbours, so a level inherits
 its parent's simple points and re-checks those rims alone, in point
@@ -50,11 +52,11 @@ order.  Every other rim was decided at an ancestor, and asking again
 would only meet a memo hit or a prune, charging no node; only a table
 dropped on overflow in between would have charged again.
 
-The transformations test simplicity on rows too: _simple hands the mask
-of a rim O(v) or joint rim O(vu) over a space's rows to _contractible,
-re-indexed by space._induced.  The simplicity predicates, the four
-moves, contractible_witness and both reduce_space strategies call it,
-so the only DigitalSpace an applied step builds is the edited space.
+The transformations test simplicity the same way: the simplicity
+predicates, the four moves, contractible_witness and both reduce_space
+strategies pass _contractible a space's rows and the mask of a rim
+O(v) or joint rim O(vu), so the only DigitalSpace an applied step
+builds is the edited space.
 """
 
 from __future__ import annotations
@@ -93,14 +95,16 @@ class TraceError(ValueError):
 
 def is_contractible(G: DigitalSpace, budget: Budget | None = None) -> bool:
     """Decide whether G reduces to a point by simple-point deletions."""
-    return _contractible(G._rows, ensure_budget(budget))
+    return _contractible(G._rows, (1 << len(G)) - 1, ensure_budget(budget))
 
 
-def _contractible(rows: tuple[int, ...], budget: Budget) -> bool:
-    """is_contractible on the rows of a space."""
-    verdict = _pruned(rows, (1 << len(rows)) - 1)
+def _contractible(rows: tuple[int, ...], mask: int, budget: Budget) -> bool:
+    """is_contractible on the subspace of rows induced by mask.  Prunes
+    (a) and (b) decide from the mask; only a subspace they leave open
+    has its rows built, as the search's root and memo key."""
+    verdict = _pruned(rows, mask)
     if verdict is None:
-        verdict = _run(_contractible_steps(rows, None, budget))
+        verdict = _run(_contractible_steps(_induced(rows, mask), None, budget))
     return verdict
 
 
@@ -153,24 +157,17 @@ def _contractible_steps(rows: tuple[int, ...], inherited, budget: Budget):
     return result
 
 
-def _simple(rows: tuple[int, ...], mask: int, budget: Budget | None) -> bool:
-    """True when the subspace of rows induced by mask, a rim O(v) or a
-    joint rim O(vu), is contractible: the one simplicity test of the
-    contractible transformations."""
-    return _contractible(_induced(rows, mask), ensure_budget(budget))
-
-
 def is_simple_point(G: DigitalSpace, v: str, budget: Budget | None = None) -> bool:
     """True when the rim of v is contractible."""
-    return _simple(G._rows, G._rows[G._require(v)], budget)
+    return _contractible(G._rows, G._rows[G._require(v)], ensure_budget(budget))
 
 
 def is_simple_edge(G: DigitalSpace, v: str, u: str, budget: Budget | None = None) -> bool:
     """True when (v, u) is an edge and the joint rim is contractible."""
     if not G.adjacent(v, u):
         raise ValueError(f"no such edge: {v!r} -- {u!r}")
-    rows = G._rows
-    return _simple(rows, rows[G._require(v)] & rows[G._require(u)], budget)
+    joint = G._rows[G._require(v)] & G._rows[G._require(u)]
+    return _contractible(G._rows, joint, ensure_budget(budget))
 
 
 def simple_points(G: DigitalSpace, budget: Budget | None = None) -> tuple[str, ...]:
@@ -244,7 +241,7 @@ def attach_simple_point(
     budget: Budget | None = None,
 ) -> tuple[DigitalSpace, TransformStep]:
     rim_points = tuple(sorted(rim_points))
-    if not _simple(G._rows, G._mask_of(rim_points), budget):
+    if not _contractible(G._rows, G._mask_of(rim_points), ensure_budget(budget)):
         raise NotSimpleError(f"attachment rim for {v!r} is not contractible")
     return G.add_point(v, rim_points), TransformStep("attach-point", (v,), rim_points)
 
@@ -262,8 +259,8 @@ def attach_simple_edge(
 ) -> tuple[DigitalSpace, TransformStep]:
     if v == u or G.adjacent(v, u):
         raise ValueError(f"attach_simple_edge needs a non-adjacent pair: {v!r}, {u!r}")
-    rows = G._rows
-    if not _simple(rows, rows[G._require(v)] & rows[G._require(u)], budget):
+    joint = G._rows[G._require(v)] & G._rows[G._require(u)]
+    if not _contractible(G._rows, joint, ensure_budget(budget)):
         raise NotSimpleError(f"common rim of {v!r}, {u!r} is not contractible")
     return G.add_edge(v, u), TransformStep("attach-edge", tuple(sorted((v, u))))
 
@@ -323,8 +320,9 @@ def contractible_witness(
     steps = []
     while len(G) > 1:
         rows = G._rows
+        full = (1 << len(rows)) - 1
         for i, row in enumerate(rows):
-            if _simple(rows, row, budget) and _contractible(_without(rows, i), budget):
+            if _contractible(rows, row, budget) and _contractible(rows, full ^ 1 << i, budget):
                 break
         else:  # pragma: no cover - contradicts contractibility
             raise AssertionError("no usable simple point in a contractible space")
@@ -363,6 +361,10 @@ def reduce_space(
     create new simple points), then deletes points, and repeats.
     Budget exhaustion stops the reduction and flags the result instead
     of raising, so the best space found so far is still returned.
+    exhausted is also set when counting a rim's cliques for the chi
+    prune passes space.DEFAULT_CLIQUE_LIMIT, which raises BudgetExceeded
+    too, however few nodes were charged: a dense space can end a
+    reduction that way early in its node budget.
     """
     budget = ensure_budget(budget)
     if strategy is ReductionStrategy.DELETE_ONLY:
@@ -389,13 +391,14 @@ def _delete_moves(G: DigitalSpace, budget: Budget):
     """Delete simple points, then simple edges, until neither applies;
     yields each (space, step) and returns the final space.
 
-    Each sweep walks G's rows in index order, tests point i by _simple
-    on rows[i] and edge ij on rows[i] & rows[j], deletes the first that
-    passes and re-reads the rows.  Simplicity depends on the rim alone,
-    so not_simple, an index mask of points found not simple, skips them
-    until a deletion changes their rims: deleting point i changes its
-    neighbours' (not_simple is re-indexed with _drop), deleting edge ij
-    those of i, j and their common neighbours.
+    Each sweep walks G's rows in index order, tests point i by
+    _contractible on the mask rows[i] and edge ij on rows[i] & rows[j],
+    deletes the first that passes and re-reads the rows.  Simplicity
+    depends on the rim alone, so not_simple, an index mask of points
+    found not simple, skips them until a deletion changes their rims:
+    deleting point i changes its neighbours' (not_simple is re-indexed
+    with _drop), deleting edge ij those of i, j and their common
+    neighbours.
     """
     not_simple = 0
     size = None
@@ -404,7 +407,7 @@ def _delete_moves(G: DigitalSpace, budget: Budget):
         while len(G) > 1:
             rows = G._rows
             for i in _bits((1 << len(rows)) - 1 & ~not_simple):
-                if _simple(rows, rows[i], budget):
+                if _contractible(rows, rows[i], budget):
                     break
                 not_simple |= 1 << i
             else:
@@ -416,7 +419,7 @@ def _delete_moves(G: DigitalSpace, budget: Budget):
         while True:
             rows = G._rows
             for i, j in _edges(rows):
-                if _simple(rows, rows[i] & rows[j], budget):
+                if _contractible(rows, rows[i] & rows[j], budget):
                     break
             else:
                 break
@@ -430,8 +433,8 @@ def _delete_moves(G: DigitalSpace, budget: Budget):
 def _attach_moves(G: DigitalSpace, budget: Budget):
     """Attach every simple edge, in pair order, until a pass attaches
     none, then delete; repeat until a round leaves the point and edge
-    counts unchanged.  A pair ij is tested by _simple on rows[i] &
-    rows[j], re-read after every attachment."""
+    counts unchanged.  A pair ij is tested by _contractible on the mask
+    rows[i] & rows[j], re-read after every attachment."""
     size = None
     while size != (len(G), G.edge_count):
         size = (len(G), G.edge_count)
@@ -442,7 +445,7 @@ def _attach_moves(G: DigitalSpace, budget: Budget):
                 # the pairs ij, j > i, that are not edges when the scan reaches i
                 for j in _bits((1 << len(G)) - 1 & ~(G._rows[i] | (2 << i) - 1)):
                     rows = G._rows
-                    if _simple(rows, rows[i] & rows[j], budget):
+                    if _contractible(rows, rows[i] & rows[j], budget):
                         step = TransformStep("attach-edge", (G._ids[i], G._ids[j]))
                         G = G.add_edge(*step.points)
                         yield G, step

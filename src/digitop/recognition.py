@@ -24,12 +24,15 @@ Punctured-space checks only need one representative per automorphism
 orbit, which is what makes the highly symmetric minimal spheres cheap
 to certify.
 
-Below the public recognize* functions every subspace is a tuple of
-bitmask rows, as in the contractibility search: a rim is its mask
-re-indexed (space._induced), a puncture drops one row (space._without)
-and goes to homotopy._contractible, and a cone puts its apex at row 0
-(space._apex).  No DigitalSpace is built; the public functions turn
-masks back into point ids.
+Below the public recognize* functions a subspace is asked for as
+(rows, mask), as in the contractibility search: _sphere and
+_sphere_walk take a space's rows and the mask of the whole space, a rim
+or a ring, decide S0 and subspaces of fewer than four points from the
+mask, and build the others' rows (space._induced) as the memo key.  A
+puncture goes to homotopy._contractible as the full mask less one
+point.  A cone is rows of its own, the apex at row 0 (space._apex),
+asked for with its full mask.  No DigitalSpace is built; the public
+functions turn masks back into point ids.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .budget import Budget, ensure_budget
 from .cache import MISSING, FormCache
 from . import canon
 from .homotopy import _contractible
-from .space import DigitalSpace, _apex, _connected, _euler, _induced, _without
+from .space import DigitalSpace, _apex, _connected, _euler, _induced
 
 _SPHERE = FormCache()
 
@@ -75,17 +78,21 @@ class NotAManifoldError(ValueError):
 
 def recognize_sphere(G: DigitalSpace, budget: Budget | None = None) -> int | None:
     """Dimension n if G is a digital n-sphere, else None."""
-    return _sphere(G._rows, ensure_budget(budget))
+    return _sphere(G._rows, (1 << len(G)) - 1, ensure_budget(budget))
 
 
-def _sphere(rows: tuple[int, ...], budget: Budget) -> int | None:
-    return _sphere_walk(rows, budget)[0]
+def _sphere(rows: tuple[int, ...], mask: int, budget: Budget) -> int | None:
+    return _sphere_walk(rows, mask, budget)[0]
 
 
-def _sphere_walk(rows: tuple[int, ...], budget: Budget) -> tuple[int | None, int | None]:
-    """The sphere dimension and _closed_dim of the space with these rows,
-    memoized together, so a closed manifold's rims are walked once, and
-    never on a memo hit.
+def _sphere_walk(
+    rows: tuple[int, ...], mask: int, budget: Budget
+) -> tuple[int | None, int | None]:
+    """The sphere dimension and _closed_dim of the subspace of rows
+    induced by mask, memoized together, so a closed manifold's rims are
+    walked once, and never on a memo hit.  S0 and subspaces of fewer
+    than four points are decided from the mask; only the others have
+    their rows built, as the memo key.
 
     Being a closed manifold is local, so the rims decide it before any
     canonization.  A space that is not one is no sphere; a closed
@@ -109,12 +116,13 @@ def _sphere_walk(rows: tuple[int, ...], budget: Budget) -> tuple[int | None, int
     (<=) A 2-sphere has chi(G) = chi(G - v) + 1 - chi(rim v) = 1 + 1 - 0
     = 2, since G - v is contractible and rim v is a cycle.
     """
-    count = len(rows)
-    if count == 2 and not rows[0]:
+    count = mask.bit_count()
+    if count == 2 and not rows[(mask & -mask).bit_length() - 1] & mask:
         return 0, 0
     if count < 4:
         # no sphere besides S0, and no closed manifold, has fewer than four points
         return None, None
+    rows = _induced(rows, mask)
     hit = _SPHERE.get(rows)
     if hit is not MISSING:
         return hit
@@ -123,8 +131,9 @@ def _sphere_walk(rows: tuple[int, ...], budget: Budget) -> tuple[int | None, int
         n = None if closed == 2 and _euler(rows) != 2 else closed
     else:
         budget.charge()
+        full = (1 << count) - 1
         punctures_contractible = all(
-            _contractible(_without(rows, orbit[0]), budget)
+            _contractible(rows, full ^ 1 << orbit[0], budget)
             for orbit in canon._orbits(count, canon._canonical(rows)[2])
         )
         n = closed if punctures_contractible else None
@@ -141,33 +150,32 @@ def _closed_dim(rows: tuple[int, ...], budget: Budget) -> int | None:
     """
     if not _connected(rows):
         return None
-    rim_dim = _sphere(_induced(rows, rows[0]), budget)
-    if rim_dim is None or any(
-        _sphere(_induced(rows, row), budget) != rim_dim for row in rows[1:]
-    ):
+    rim_dim = _sphere(rows, rows[0], budget)
+    if rim_dim is None or any(_sphere(rows, row, budget) != rim_dim for row in rows[1:]):
         return None
     return rim_dim + 1
 
 
-def _cone(G: DigitalSpace, budget: Budget, test) -> DiskDecomposition | None:
-    """(n, boundary, interior) of G if test(cone) == n, else None.
+def _cone(
+    G: DigitalSpace, budget: Budget
+) -> tuple[tuple[int, ...], DiskDecomposition | None]:
+    """The cone rows and the split (n, boundary, interior) of G, or
+    ((), None) when G has no split.
 
     The interior is the points whose rims are spheres, all of one
     dimension n - 1, the boundary the others; both must be nonempty.
     The cone is G's rows plus an apex over the boundary (space._apex).
     """
     rows = G._rows
-    rim_dims = [_sphere(_induced(rows, row), budget) for row in rows]
+    rim_dims = [_sphere(rows, row, budget) for row in rows]
     interior = sum(1 << i for i, dim in enumerate(rim_dims) if dim is not None)
     full = (1 << len(rows)) - 1
     boundary = full & ~interior
     dims = set(rim_dims) - {None}
     if not interior or not boundary or len(dims) != 1:
-        return None
-    n = dims.pop() + 1
-    if test(_apex(rows, full, boundary), budget) != n:
-        return None
-    return DiskDecomposition(n, G._ids_of(boundary), G._ids_of(interior))
+        return (), None
+    split = DiskDecomposition(dims.pop() + 1, G._ids_of(boundary), G._ids_of(interior))
+    return _apex(rows, full, boundary), split
 
 
 def recognize_disk(
@@ -184,7 +192,9 @@ def recognize_disk(
     budget = ensure_budget(budget)
     if len(G) == 1:
         return DiskDecomposition(0, (), (G.points[0],))
-    return _cone(G, budget, _sphere)
+    cone, split = _cone(G, budget)
+    full = (1 << len(cone)) - 1
+    return split if split and _sphere(cone, full, budget) == split.dimension else None
 
 
 def recognize_closed_manifold(
@@ -217,7 +227,8 @@ def recognize_manifold_with_boundary(
     budget = ensure_budget(budget)
     if len(G) < 2 or not G.is_connected():
         return None
-    return _cone(G, budget, _closed_dim)
+    cone, split = _cone(G, budget)
+    return split if split and _closed_dim(cone, budget) == split.dimension else None
 
 
 def recognize(G: DigitalSpace, budget: Budget | None = None) -> RecognitionResult:
@@ -226,7 +237,7 @@ def recognize(G: DigitalSpace, budget: Budget | None = None) -> RecognitionResul
     closed manifolds first changes no verdict and spares them a disk pass.
     """
     budget = ensure_budget(budget)
-    dim, closed = _sphere_walk(G._rows, budget)
+    dim, closed = _sphere_walk(G._rows, (1 << len(G)) - 1, budget)
     if dim is not None:
         return RecognitionResult(SpaceKind.SPHERE, dim)
     if closed is not None:

@@ -14,6 +14,10 @@ kernel shared by canon, homotopy, recognition, transform and classify
 lives here too: _drop, _gap, _bits, _edges, _reach, _reindex, _induced,
 _apex, _without, _clique_counts and _euler, and _run, which runs the
 canonical and contractibility searches on an explicit stack.
+_induced is the one subspace builder: the searches below the public
+API take (rows, mask) and call it only for the subspaces the mask
+alone does not decide, and every subspace a DigitalSpace method
+returns, a deletion included, is built by it.
 """
 
 from __future__ import annotations
@@ -21,11 +25,13 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Iterator, Sequence
 
 from .budget import BudgetExceeded
 
 _ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
+_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 # Safety valve for clique enumeration; see _clique_counts.
 DEFAULT_CLIQUE_LIMIT = 10_000_000
@@ -94,9 +100,14 @@ def _reindex(rows: Sequence[int], order: Sequence[int], within: int) -> list[int
     return out
 
 
-def _induced(rows: Sequence[int], mask: int) -> tuple[int, ...]:
-    """Rows of the subspace induced by mask, its points in order."""
-    return tuple(_reindex(rows, list(_bits(mask)), mask))
+def _induced(rows: tuple[int, ...], mask: int) -> tuple[int, ...]:
+    """Rows of the subspace induced by mask, its points in order: rows
+    itself for the full mask, and rows with one row sliced out
+    (_without) when one point is missing."""
+    if mask.bit_count() < len(rows) - 1:
+        return tuple(_reindex(rows, list(_bits(mask)), mask))
+    missing = (1 << len(rows)) - 1 ^ mask
+    return _without(rows, missing.bit_length() - 1) if missing else rows
 
 
 def _apex(rows: Sequence[int], within: int, over: int) -> tuple[int, ...]:
@@ -302,12 +313,10 @@ class DigitalSpace:
         return i
 
     def _ids_of(self, mask: int) -> tuple[str, ...]:
-        out = []
-        while mask:
-            i = (mask & -mask).bit_length() - 1
-            mask &= mask - 1
-            out.append(self._ids[i])
-        return tuple(out)
+        # character i of bin(mask)[:1:-1] is bit i of mask; _FLAGS makes it
+        # a 0 or 1 byte for compress, which picks the ids in C, so a dense
+        # mask costs about as little as a sparse one
+        return tuple(compress(self._ids, bin(mask)[:1:-1].encode().translate(_FLAGS)))
 
     def _mask_of(self, point_ids: Iterable[str]) -> int:
         mask = 0
@@ -316,10 +325,7 @@ class DigitalSpace:
         return mask
 
     def _induced_by_mask(self, mask: int) -> "DigitalSpace":
-        kept = list(_bits(mask))
-        return DigitalSpace._from_rows(
-            [self._ids[i] for i in kept], _reindex(self._rows, kept, mask)
-        )
+        return DigitalSpace._from_rows(self._ids_of(mask), _induced(self._rows, mask))
 
     # -- subspaces and digital neighbourhoods ---------------------------------
 
@@ -329,14 +335,8 @@ class DigitalSpace:
 
     def delete_points(self, point_ids: Iterable[str]) -> "DigitalSpace":
         """Space with the given points (and incident edges) removed."""
-        mask = self._mask_of(point_ids)
-        if mask.bit_count() == 1:
-            # one point: shift each row past it instead of rebuilding rows
-            i = mask.bit_length() - 1
-            ids = self._ids[:i] + self._ids[i + 1 :]
-            return DigitalSpace._from_rows(ids, _without(self._rows, i))
         full = (1 << len(self._ids)) - 1
-        return self._induced_by_mask(full & ~mask)
+        return self._induced_by_mask(full & ~self._mask_of(point_ids))
 
     def rim(self, p: str) -> "DigitalSpace":
         """O(p): the subspace induced by the neighbours of p."""

@@ -11,8 +11,9 @@ interiors I breadth-first from the edges and keeps I when I + N(I) plus
 an apex over N(I) is an n-sphere, the cone test.  It needs no rim split:
 the rims of I are spheres, those of N(I) in the disk punctured spheres.
 Like recognition, the search works on M's bitmask rows and builds no
-DigitalSpace per candidate: the ring N(I) and the cone are row tuples
-handed to recognition's row-level sphere test; the search yields masks.
+DigitalSpace per candidate: recognition's row-level sphere test gets
+the ring N(I) as a mask over M's rows and the cone as rows of its own
+with their full mask; the search yields masks.
 contract_disk runs the same cone on a given set D, with I the points of
 D whose neighbours all lie in D.  In a closed manifold that decides "D
 is a disk whose interior has no neighbour outside D": the rims of I are
@@ -35,11 +36,11 @@ from .budget import Budget, ensure_budget
 from .canon import isomorphism
 from .recognition import (
     NotAManifoldError,
+    _closed_dim,
     _sphere,
-    recognize_closed_manifold,
     require_closed_manifold,
 )
-from .space import DigitalSpace, _apex, _bits, _edges, _induced
+from .space import DigitalSpace, _apex, _bits, _edges
 
 
 @dataclass(frozen=True)
@@ -109,7 +110,8 @@ def contract_disk(
     dim = require_closed_manifold(M, budget)
     disk = M._mask_of(disk_points)
     inside = sum(1 << p for p in _bits(disk) if not M._rows[p] & ~disk)
-    if _sphere(_apex(M._rows, disk, disk & ~inside), budget) != dim:
+    cone = _apex(M._rows, disk, disk & ~inside)
+    if _sphere(cone, (1 << len(cone)) - 1, budget) != dim:
         raise ValueError(f"the points induce no {dim}-disk whose interior stays inside them")
     if fresh is None:
         fresh = M.fresh_id()
@@ -138,7 +140,8 @@ def _disks(
     neighbour at a time, as masks over the rows; each costs one budget
     node.  I passes when its neighbours N(I) induce a (dim-1)-sphere and
     the cone, I + N(I) plus an apex over N(I) (space._apex), is a
-    dim-sphere; both are row tuples for recognition's _sphere.  That is
+    dim-sphere; recognition's _sphere gets the ring as a mask over the
+    rows, and the cone as its own rows with their full mask.  That is
     recognize_disk's cone test, whose rim split adds nothing: a point of
     N(I) has a punctured sphere as its rim in I + N(I), no sphere.
     """
@@ -150,11 +153,10 @@ def _disks(
         for p in _bits(inside):
             ring |= rows[p]
         ring &= ~inside
-        if (
-            _sphere(_induced(rows, ring), budget) == dim - 1
-            and _sphere(_apex(rows, inside | ring, ring), budget) == dim
-        ):
-            yield inside, ring
+        if _sphere(rows, ring, budget) == dim - 1:
+            cone = _apex(rows, inside | ring, ring)
+            if _sphere(cone, (1 << len(cone)) - 1, budget) == dim:
+                yield inside, ring
         if inside.bit_count() < bound:
             for p in _bits(ring):
                 grown = inside | 1 << p
@@ -181,7 +183,7 @@ def compress(M: DigitalSpace, budget: Budget | None = None) -> CompressionResult
         interior, boundary = map(current._ids_of, disk)
         fresh = current.fresh_id()
         current = current.delete_points(interior).add_point(fresh, boundary)
-        if recognize_closed_manifold(current, budget) != dim:
+        if _closed_dim(current._rows, budget) != dim:
             raise NotAManifoldError(
                 f"contracting {interior} left no closed {dim}-manifold"
             )

@@ -148,7 +148,7 @@ def test_rtransform_pipeline(capsys, octa_file):
     code, _, err = run(capsys, "rtransform", octa_file, "--edge", "p0a")
     assert code == 2
     code, _, err = run(capsys, "rtransform", octa_file, "--edge", "p0a,zz")
-    assert code == 2 and "no such point" in err
+    assert code == 2 and err == "digitop: error: no such point: 'zz'\n"
 
 
 def test_compress_output_is_a_commented_spacefile(capsys, octa_file, tmp_path):

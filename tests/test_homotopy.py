@@ -43,7 +43,9 @@ from digitop import (
     contract_disk,
     homotopy,
     is_compressed,
+    recognition,
     recognize,
+    recognize_closed_manifold,
     recognize_sphere,
 )
 from digitop.canon import canonical_encoding_rows
@@ -161,6 +163,32 @@ def test_search_builds_no_space_below_the_entry_point(cold_memo, built_spaces):
     with pytest.raises(ValueError, match="disk"):
         contract_disk(torus, rim)
     assert built_spaces == []
+
+
+def test_subspaces_the_mask_decides_build_no_rows(monkeypatch):
+    """Prunes (a) and (b), S0 and fewer than four points are decided on
+    the parent's rows and the subspace's mask: an empty or disconnected
+    joint rim, an interior point's rim in a path and the rims of a path
+    get no rows of their own."""
+    built = []
+    for module in (homotopy, recognition):
+
+        def counted(rows, mask, induced=module._induced):
+            built.append(mask)
+            return induced(rows, mask)
+
+        monkeypatch.setattr(module, "_induced", counted)
+    octa = minimal_sphere(2)
+    path = support.path(5)
+    queries = [
+        (lambda: is_simple_edge(path, "p1", "p2"), False),  # empty joint rim
+        (lambda: is_simple_edge(octa, *octa.edges[0]), False),  # two opposite points
+        (lambda: is_simple_point(path, "p2"), False),
+        (lambda: recognize_closed_manifold(support.path(6)), None),
+    ]
+    for query, expected in queries:
+        assert query() is expected
+        assert built == []
 
 
 def test_each_applied_step_builds_one_space(cold_memo, built_spaces):

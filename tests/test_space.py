@@ -284,6 +284,25 @@ def test_reindex_matches_the_encode_order_reference():
             assert tuple(space._reindex(rows, order, full)) == support.rows_of(renamed)
 
 
+def test_induced_matches_the_reference_on_full_one_missing_and_random_masks():
+    """_induced against support.sub_rows on the full mask, on every mask
+    with one point missing (the row-slicing branch) and on seeded random
+    masks, over the connected graphs of at most 6 points and a grown
+    torus."""
+    rng = random.Random(23)
+    torus = torus16()
+    for _ in range(4):
+        torus = r_transform(torus, *rng.choice(torus.edges))
+    graphs = list(support.all_connected_rows(6))
+    assert len(graphs) == 143
+    for rows in graphs + [torus._rows]:
+        n = len(rows)
+        full = (1 << n) - 1
+        one_missing = [full ^ 1 << i for i in range(n)]
+        for mask in [full, *one_missing, *(rng.getrandbits(n) for _ in range(8))]:
+            assert space._induced(rows, mask) == support.sub_rows(rows, mask), (rows, mask)
+
+
 def test_induced_subspace_and_add_point_match_the_references():
     """Subspaces and added points against the same spaces built by the
     checked constructor from point and edge lists."""
