@@ -32,7 +32,7 @@ from enum import Enum
 from . import canon
 from .budget import Budget, BudgetExceeded, ensure_budget
 from .canon import CanonicalForm, canonical_encoding_rows, canonical_form
-from .homotopy import ReductionStrategy, reduce_space
+from .homotopy import _delete_moves
 from .recognition import recognize_closed_manifold, require_closed_manifold
 from .space import DigitalSpace, _bits, _reach
 from .transform import _disks, compress
@@ -84,11 +84,22 @@ def complexity(M: DigitalSpace, budget: Budget | None = None) -> int:
 def classification_report(
     M: DigitalSpace, budget: Budget | None = None
 ) -> ClassificationReport:
+    """The comparison elements of the closed manifold M: its complexity,
+    the canonical form of its compression, and M minus its first point
+    reduced by reduce_space's DELETE_ONLY moves, as a canonical form and
+    an Euler characteristic.
+
+    BudgetExceeded propagates from every part, the punctured reduction
+    included, so a report is complete or not returned at all.
+    """
     budget = ensure_budget(budget)
     dim = require_closed_manifold(M, budget)
     compressed = compress(M, budget).space
-    punctured = M.delete_points([M.points[0]])
-    reduced = reduce_space(punctured, ReductionStrategy.DELETE_ONLY, budget).space
+    # the moves, not reduce_space: a budget that runs out mid-reduction
+    # must raise, where reduce_space would return a partial space
+    reduced = M.delete_points([M.points[0]])
+    for reduced, _ in _delete_moves(reduced, budget):
+        pass
     return ClassificationReport(
         point_count=len(M),
         dimension=dim,

@@ -8,7 +8,11 @@ to stdout and diagnostics to stderr, and exits with:
     2   usage error or malformed input
     3   budget exceeded
 
-Identical invocations produce byte-identical stdout.
+The library decides every failure and words its message; main alone maps
+the exception to an exit code and prints "digitop: error: <message>".
+Only argument errors the library never sees (--dim misuse, an unreadable
+file, a malformed --edge) are raised here, as ValueError.  Identical
+invocations produce byte-identical stdout.
 """
 
 from __future__ import annotations
@@ -31,17 +35,13 @@ from .homotopy import (
 )
 from .recognition import NotAManifoldError, RecognitionResult, SpaceKind, recognize
 from .space import DigitalSpace
-from .spacefile import SpaceFileError, export_dot, parse, serialize
+from .spacefile import export_dot, parse, serialize
 from .transform import compress, r_transform
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
-
-
-class UsageError(ValueError):
-    """Bad arguments discovered after argparse (unknown point, bad edge)."""
 
 
 def _read_space(path: str) -> DigitalSpace:
@@ -51,7 +51,7 @@ def _read_space(path: str) -> DigitalSpace:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from exc
     return parse(text)
 
 
@@ -76,16 +76,13 @@ _BUILTINS = {"torus16": torus16, "projplane11": projective_plane11}
 def _cmd_gen(args: argparse.Namespace) -> int:
     if args.space in _BUILTINS:
         if args.dim is not None:
-            raise UsageError(f"--dim does not apply to {args.space}")
+            raise ValueError(f"--dim does not apply to {args.space}")
         space = _BUILTINS[args.space]()
     else:
         if args.dim is None:
-            raise UsageError(f"gen {args.space} requires --dim")
+            raise ValueError(f"gen {args.space} requires --dim")
         maker = minimal_sphere if args.space == "sphere" else minimal_disk
-        try:
-            space = maker(args.dim)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        space = maker(args.dim)
     _emit(serialize(space), args.output)
     return EXIT_OK
 
@@ -144,10 +141,8 @@ def _cmd_rtransform(args: argparse.Namespace) -> int:
     G = _read_space(args.file)
     parts = args.edge.split(",")
     if len(parts) != 2 or not all(parts):
-        raise UsageError("--edge expects two point ids separated by a comma")
+        raise ValueError("--edge expects two point ids separated by a comma")
     v, u = parts
-    if not G.adjacent(v, u):
-        raise UsageError(f"no such edge: {v!r} -- {u!r}")
     result = r_transform(G, v, u, fresh=args.fresh, budget=_budget(args))
     _emit(serialize(result), args.output)
     return EXIT_OK
@@ -190,10 +185,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_catalog(args: argparse.Namespace) -> int:
-    try:
-        result = catalog(args.dim, args.max_points, _budget(args))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    result = catalog(args.dim, args.max_points, _budget(args))
     flag = "true" if result.exhaustive else "false"
     lines = [
         f"catalog dim {result.dimension} max-points {result.max_points}"
@@ -367,9 +359,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (UsageError, SpaceFileError) as exc:
-        print(f"digitop: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except BudgetExceeded:
         print("digitop: error: budget exceeded", file=sys.stderr)
         return EXIT_BUDGET

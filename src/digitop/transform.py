@@ -77,11 +77,15 @@ def r_transform(
     fresh: str | None = None,
     budget: Budget | None = None,
 ) -> DigitalSpace:
-    """Replace edge (v, u) by a point adjacent to v, u and O(vu)."""
-    budget = ensure_budget(budget)
-    require_closed_manifold(M, budget)
+    """Replace edge (v, u) by a point adjacent to v, u and O(vu).
+
+    The edge is checked before M is recognized, so a non-edge raises
+    ValueError and charges nothing, whatever M is.
+    """
     if not M.adjacent(v, u):
         raise ValueError(f"no such edge: {v!r} -- {u!r}")
+    budget = ensure_budget(budget)
+    require_closed_manifold(M, budget)
     if fresh is None:
         fresh = M.fresh_id()
     common = M._ids_of(M._rows[M._require(v)] & M._rows[M._require(u)])
@@ -105,10 +109,11 @@ def contract_disk(
     sphere; a point of D with no neighbour in I gets a cone as cone rim.
     S0's 0-disk {a} passes (its cone is S0), though its empty ring would
     fail the search's ring test, which is why none is run here.
+    Unknown point ids raise ValueError before M is recognized.
     """
+    disk = M._mask_of(disk_points)
     budget = ensure_budget(budget)
     dim = require_closed_manifold(M, budget)
-    disk = M._mask_of(disk_points)
     inside = sum(1 << p for p in _bits(disk) if not M._rows[p] & ~disk)
     cone = _apex(M._rows, disk, disk & ~inside)
     if _sphere(cone, (1 << len(cone)) - 1, budget) != dim:

@@ -11,6 +11,7 @@ import pytest
 import support
 from digitop import (
     Budget,
+    BudgetExceeded,
     DigitalSpace,
     MatchKind,
     NotAManifoldError,
@@ -27,7 +28,7 @@ from digitop import (
     recognize_sphere,
     torus16,
 )
-from digitop import canon
+from digitop import cache, canon
 from digitop.canon import canonical_encoding_rows
 from digitop.classify import (
     _augmentations,
@@ -83,6 +84,32 @@ def test_classification_report_projective_plane():
     assert rep.euler == 1
     assert rep.complexity == 11
     assert rep.punctured_reduced_euler == 0
+
+
+def _torus16_grown_by_four():
+    rng = random.Random(4)
+    M = torus16()
+    for _ in range(4):
+        M = r_transform(M, *rng.choice(M.edges))
+    return M
+
+
+@pytest.mark.parametrize("make", [torus16, _torus16_grown_by_four])
+def test_classification_report_is_whole_or_raises_at_every_budget(make):
+    """With a cold memo, Budget(L) for every L up to the unbounded spend
+    either raises or gives the unbounded report: a budget that runs out
+    in the punctured reduction raises too, and returns no partial form."""
+    M = make()
+    cache.clear_all()
+    unbounded = Budget(None)
+    report = classification_report(M, unbounded)
+    for limit in range(unbounded.spent + 1):
+        cache.clear_all()
+        try:
+            assert classification_report(M, Budget(limit)) == report, limit
+        except BudgetExceeded:
+            assert limit < unbounded.spent
+    cache.clear_all()
 
 
 def test_classification_report_rejects_non_manifolds():

@@ -317,3 +317,51 @@ def test_console_entry_point_subprocess(tmp_path):
     assert first.returncode == 0
     assert first.stdout == second.stdout
     assert len(first.stdout.splitlines()) == 1 + 11 + 30
+
+
+# -- failure paths: one stderr line and one exit code per library exception -------------
+
+
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        (["gen", "torus16", "--dim", "2"], 2, "--dim does not apply to torus16"),
+        (["gen", "sphere"], 2, "gen sphere requires --dim"),
+        (["gen", "sphere", "--dim", "13"], 2, "dimension out of range: 13"),
+        (["recognize", "missing.sf"], 2,
+         "cannot read missing.sf: No such file or directory"),
+        (["rtransform", "torus.sf", "--edge", "t00"], 2,
+         "--edge expects two point ids separated by a comma"),
+        (["rtransform", "torus.sf", "--edge", "t00,t22"], 2,
+         "no such edge: 't00' -- 't22'"),
+        # the edge is checked before the manifold test, so a non-edge of a
+        # non-manifold is a usage error
+        (["rtransform", "wheel.sf", "--edge", "c0,c2"], 2, "no such edge: 'c0' -- 'c2'"),
+        (["rtransform", "wheel.sf", "--edge", "c0,c1"], 1, "space is not a closed manifold"),
+        (["catalog", "--dim", "2", "--max-points", "3"], 2,
+         "max_points below the minimal sphere size 2n+2"),
+    ],
+)
+def test_error_bytes_and_exit_codes_are_pinned(capsys, tmp_path, monkeypatch, argv, code, err):
+    monkeypatch.chdir(tmp_path)
+    write_space(tmp_path, "torus.sf", torus16())
+    write_space(tmp_path, "wheel.sf", support.wheel(4))
+    assert run(capsys, *argv) == (code, "", f"digitop: error: {err}\n")
+
+
+def test_report_exits_3_when_the_punctured_reduction_runs_out(capsys, torus_file):
+    """50 nodes cover torus16's recognition and compression but not the
+    reduction of its puncture; a cold report then prints nothing."""
+    cache.clear_all()
+    assert run(capsys, "report", torus_file, "--budget", "50") == (
+        3, "", "digitop: error: budget exceeded\n"
+    )
+
+
+def test_reduce_prints_its_partial_result_and_exits_3(capsys, torus_file):
+    cache.clear_all()
+    code, out, err = run(capsys, "reduce", torus_file, "--delete-point", "t00",
+                         "--budget", "5")
+    assert code == 3 and err == ""
+    assert out.splitlines()[-1] == "# budget exhausted"
+    assert len(parse(out)) < 15

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import sys
 
@@ -14,6 +15,7 @@ from digitop import (
     NotSimpleError,
     ReductionStrategy,
     TraceError,
+    TransformStep,
     attach_simple_edge,
     attach_simple_point,
     contractible_witness,
@@ -48,7 +50,7 @@ from digitop import (
     recognize_closed_manifold,
     recognize_sphere,
 )
-from digitop.canon import canonical_encoding_rows
+from digitop.canon import canonical_encoding_rows, canonical_form
 
 
 def test_contractible_examples():
@@ -294,6 +296,35 @@ def test_replay_detects_tampering():
         replay(trace, support.cycle(5))
 
 
+def test_replay_names_the_step_or_end_that_fails():
+    G = support.wheel(4)
+    trace = contractible_witness(G)
+    first, *rest = trace.steps
+    tampered = [
+        (dataclasses.replace(first, rim=first.rim[:-1]), "recorded rim"),
+        (TransformStep("rename-point", first.points), "unknown step kind"),
+        # with no recorded rim the rim check passes and simplicity decides
+        (TransformStep("delete-point", ("hub",)), "'hub' is not simple"),
+    ]
+    for step, message in tampered:
+        forged = dataclasses.replace(trace, steps=(step, *rest))
+        with pytest.raises(TraceError, match=f"step .* failed: .*{message}"):
+            replay(forged, G)
+    forged = dataclasses.replace(trace, end=canonical_form(G).encoding)
+    with pytest.raises(TraceError, match="end space does not match"):
+        replay(forged, G)
+
+
+def test_attach_simple_edge_refusals():
+    C = support.cycle(4)
+    with pytest.raises(ValueError, match="non-adjacent pair") as refused:
+        attach_simple_edge(C, "c0", "c1")
+    assert not isinstance(refused.value, NotSimpleError)
+    # the common rim of opposite corners is two points apart
+    with pytest.raises(NotSimpleError, match="not contractible"):
+        attach_simple_edge(C, "c0", "c2")
+
+
 def test_trace_inversion_round_trip():
     G = support.wheel(5)
     trace = contractible_witness(G)
@@ -422,6 +453,15 @@ def test_reduce_punctured_spheres_to_a_point():
             assert len(result.space) == 1
             assert not result.exhausted
             assert replay(result.trace, punctured) == result.space
+
+
+def test_reduce_flags_a_spent_budget_and_keeps_a_replayable_trace(cold_memo):
+    T = torus16()
+    punctured = T.delete_points([T.points[0]])
+    result = reduce_space(punctured, ReductionStrategy.DELETE_ONLY, Budget(3))
+    assert result.exhausted
+    assert len(result.space) < len(punctured)
+    assert replay(result.trace, punctured) == result.space
 
 
 def test_reduce_torus_and_plane():

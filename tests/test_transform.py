@@ -14,6 +14,7 @@ from digitop import (
     BudgetExceeded,
     CompressionVerdict,
     DigitalSpace,
+    NotAManifoldError,
     are_isomorphic,
     complexity,
     compress,
@@ -57,6 +58,21 @@ def test_r_transform_validation():
         r_transform(support.wheel(4), "hub", "c0")  # not a closed manifold
     with pytest.raises(ValueError):
         r_transform(octa, "p0a", "p1a", fresh="p2b")  # id collision
+
+
+def test_bad_arguments_are_refused_before_the_manifold_test():
+    """A non-edge, or an unknown point id, is a ValueError of its own
+    even on a non-manifold, and costs no budget."""
+    wheel = support.wheel(4)
+    for call, message in (
+        (lambda b: r_transform(wheel, "c0", "c2", budget=b), "no such edge"),
+        (lambda b: contract_disk(wheel, ("hub", "zz"), budget=b), "no such point"),
+    ):
+        budget = Budget(None)
+        with pytest.raises(ValueError, match=message) as refused:
+            call(budget)
+        assert not isinstance(refused.value, NotAManifoldError)
+        assert budget.spent == 0
 
 
 def test_find_edge_disks_on_compressed_spaces():
