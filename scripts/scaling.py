@@ -66,7 +66,7 @@ sys.path.insert(0, str(REPO / "bench"))
 from tracing import loglog_slope  # noqa: E402
 
 SIZES = (50, 100, 200, 400, 800)
-WITNESSES = (100, 200, 400, 800)
+WITNESSES = (100, 200, 400, 800, 1600)
 CATALOGS = ((2, 7), (2, 8), (2, 9), (2, 10), (3, 8), (3, 9), (3, 10), (3, 11),
             (4, 11))
 CONES = (20, 24, 200)
@@ -74,7 +74,7 @@ CANON_COMPLETE = (50, 100, 200)
 CANON_ISOLATED = (100, 200, 400)
 GROWTH, RIM_BATCHES, RIM_PASSES = 10, 15, 200
 COMPRESSIONS = (("torus16", 50), ("torus16", 100), ("torus16", 200),
-                ("torus16", 400), ("projective_plane11", 60),
+                ("torus16", 400), ("torus16", 800), ("projective_plane11", 60),
                 ("minimal_sphere3", 30), ("minimal_sphere3", 50))
 REDUCTIONS = ((50, "delete-only"), (100, "delete-only"), (200, "delete-only"),
               (400, "delete-only"), (50, "attach-edges"))

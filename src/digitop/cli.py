@@ -26,13 +26,7 @@ from .budget import Budget, BudgetExceeded
 from .canon import isomorphism
 from .classify import catalog, classification_report, complexity
 from .corpus import minimal_disk, minimal_sphere, projective_plane11, torus16
-from .homotopy import (
-    NotSimpleError,
-    ReductionStrategy,
-    contractible_witness,
-    is_contractible,
-    reduce_space,
-)
+from .homotopy import ReductionStrategy, contractible_witness, is_contractible, reduce_space
 from .recognition import NotAManifoldError, RecognitionResult, SpaceKind, recognize
 from .space import DigitalSpace
 from .spacefile import export_dot, parse, serialize
@@ -362,7 +356,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BudgetExceeded:
         print("digitop: error: budget exceeded", file=sys.stderr)
         return EXIT_BUDGET
-    except (NotAManifoldError, NotSimpleError) as exc:
+    except NotAManifoldError as exc:
         print(f"digitop: error: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
     except ValueError as exc:

@@ -36,7 +36,8 @@ A level is a tuple of bitmask rows, which is also its memo key, and no
 DigitalSpace is built below the public entry points.  A root is asked
 for as (rows, mask), a space's rows and the mask of the subspace: the
 whole space for is_contractible, a rim or joint rim for the
-transformations, a puncture for recognition and contractible_witness.
+transformations, a puncture for recognition.  contractible_witness
+searches a puncture on its _without rows, those of the step's space.
 _contractible, and a level for each of its rims, decides (a) and (b)
 from the mask on those rows, and builds the root's rows
 (space._induced) only for a subspace they leave open, one that is
@@ -311,7 +312,13 @@ def contractible_witness(
 ) -> TransformTrace:
     """A verified deletion sequence reducing G to one point.
 
-    Raises ValueError when G is not contractible.
+    Raises ValueError when G is not contractible.  Each step deletes the
+    first simple point whose puncture is contractible, so G stays
+    contractible, hence connected, and a simple point's puncture is
+    connected too (module docstring): prunes (b) never fires on it, and
+    (a) only on a one-point puncture, contractible at no charge.  The
+    puncture's rows (_without) go to the search as they are and become
+    the step's space.
     """
     budget = ensure_budget(budget)
     if not is_contractible(G, budget):
@@ -320,14 +327,15 @@ def contractible_witness(
     steps = []
     while len(G) > 1:
         rows = G._rows
-        full = (1 << len(rows)) - 1
         for i, row in enumerate(rows):
-            if _contractible(rows, row, budget) and _contractible(rows, full ^ 1 << i, budget):
-                break
+            if _contractible(rows, row, budget):
+                rest = _without(rows, i)
+                if len(rest) == 1 or _run(_contractible_steps(rest, None, budget)):
+                    break
         else:  # pragma: no cover - contradicts contractibility
             raise AssertionError("no usable simple point in a contractible space")
         steps.append(TransformStep("delete-point", (G._ids[i],), G._ids_of(row)))
-        G = G.delete_points(steps[-1].points)
+        G = DigitalSpace._from_rows(G._ids[:i] + G._ids[i + 1 :], rest)
     return TransformTrace(start, tuple(steps), canonical_form(G).encoding)
 
 

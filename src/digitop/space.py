@@ -191,14 +191,6 @@ class CliqueVector:
 
     counts: tuple[int, ...]
 
-    @property
-    def points(self) -> int:
-        return self.counts[0] if self.counts else 0
-
-    @property
-    def edges(self) -> int:
-        return self.counts[1] if len(self.counts) > 1 else 0
-
     def euler_characteristic(self) -> int:
         # Alternating sum over the clique complex: f0 - f1 + f2 - ...
         return sum(self.counts[::2]) - sum(self.counts[1::2])

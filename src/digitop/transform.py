@@ -23,6 +23,9 @@ It runs no ring test, which would refuse S0's 0-disk {a} (empty ring).
 compress contracts edge-disks (interior exactly {v, u}) in deterministic
 edge order, and is_compressed looks for disks whose interior has at most
 a given number of points.
+compress and contract_disk turn a disk into a point by one step,
+_contract, which re-checks only the rims the edit changed, those of the
+ring, and raises NotAManifoldError if the result were no closed manifold.
 """
 
 from __future__ import annotations
@@ -34,12 +37,7 @@ from typing import Iterator
 
 from .budget import Budget, ensure_budget
 from .canon import isomorphism
-from .recognition import (
-    NotAManifoldError,
-    _closed_dim,
-    _sphere,
-    require_closed_manifold,
-)
+from .recognition import NotAManifoldError, _sphere, require_closed_manifold
 from .space import DigitalSpace, _apex, _bits, _edges
 
 
@@ -109,7 +107,9 @@ def contract_disk(
     sphere; a point of D with no neighbour in I gets a cone as cone rim.
     S0's 0-disk {a} passes (its cone is S0), though its empty ring would
     fail the search's ring test, which is why none is run here.
-    Unknown point ids raise ValueError before M is recognized.
+    Unknown point ids raise ValueError before M is recognized.  The
+    contraction is compress's step (_contract): it raises
+    NotAManifoldError if its result were no closed n-manifold.
     """
     disk = M._mask_of(disk_points)
     budget = ensure_budget(budget)
@@ -118,9 +118,37 @@ def contract_disk(
     cone = _apex(M._rows, disk, disk & ~inside)
     if _sphere(cone, (1 << len(cone)) - 1, budget) != dim:
         raise ValueError(f"the points induce no {dim}-disk whose interior stays inside them")
+    return _contract(M, inside, disk & ~inside, dim, budget, fresh)[0]
+
+
+def _contract(
+    M: DigitalSpace,
+    inside: int,
+    ring: int,
+    dim: int,
+    budget: Budget,
+    fresh: str | None = None,
+) -> tuple[DigitalSpace, ContractionStep]:
+    """M with the interior mask replaced by a fresh point over the ring
+    mask, and the step; NotAManifoldError unless every ring point's rim
+    in the new space is a (dim-1)-sphere.
+
+    The caller's cone test passed on I + ring plus an apex over the
+    ring, a dim-sphere, so the ring is the apex's rim there, a sphere.
+    Checking the ring's rims then decides that the result is a closed
+    dim-manifold.  The fresh point's rim is the ring.  A point off the
+    ring is adjacent neither to the interior nor to the fresh point, so
+    its rim is as it was in M.  A path through the interior can go
+    through the fresh point instead, so the space stays connected.
+    """
+    interior, boundary = M._ids_of(inside), M._ids_of(ring)
     if fresh is None:
         fresh = M.fresh_id()
-    return M.delete_points(M._ids_of(inside)).add_point(fresh, M._ids_of(disk & ~inside))
+    out = M.delete_points(interior).add_point(fresh, boundary)
+    rows = out._rows
+    if any(_sphere(rows, rows[i], budget) != dim - 1 for i in _bits(out._mask_of(boundary))):
+        raise NotAManifoldError(f"contracting {interior} left no closed {dim}-manifold")
+    return out, ContractionStep(interior, boundary, fresh)
 
 
 def find_edge_disks(
@@ -173,9 +201,11 @@ def _disks(
 def compress(M: DigitalSpace, budget: Budget | None = None) -> CompressionResult:
     """Contract the first available edge-disk until none remains.
 
-    Each space along the way is recognized once, as a closed manifold of
-    the entry dimension.  The result depends on M alone, so it is kept
-    with M, as canonical forms are: compressing M again charges nothing.
+    M is recognized once, at entry; each contraction (_contract)
+    re-checks only the rims it changed, so every space along the way is
+    a closed manifold of the entry dimension.  The result depends on M
+    alone, so it is kept with M, as canonical forms are: compressing M
+    again charges nothing.
     """
     cached = M._cache.get("compression")
     if cached is not None:
@@ -185,14 +215,8 @@ def compress(M: DigitalSpace, budget: Budget | None = None) -> CompressionResult
     current = M
     steps: list[ContractionStep] = []
     while (disk := next(_disks(current._rows, dim, 2, budget), None)) is not None:
-        interior, boundary = map(current._ids_of, disk)
-        fresh = current.fresh_id()
-        current = current.delete_points(interior).add_point(fresh, boundary)
-        if _closed_dim(current._rows, budget) != dim:
-            raise NotAManifoldError(
-                f"contracting {interior} left no closed {dim}-manifold"
-            )
-        steps.append(ContractionStep(interior, boundary, fresh))
+        current, step = _contract(current, *disk, dim, budget)
+        steps.append(step)
     result = M._cache["compression"] = CompressionResult(current, tuple(steps))
     return result
 

@@ -275,6 +275,52 @@ def test_witness_reduces_to_one_point():
         assert len(end) == 1
 
 
+def _reference_witness(G, budget):
+    """The witness's steps by the definition: delete the first simple
+    point whose puncture, asked for as a mask, is contractible."""
+    steps = []
+    while len(G) > 1:
+        rows = G._rows
+        full = (1 << len(rows)) - 1
+        i = next(
+            i
+            for i, row in enumerate(rows)
+            if homotopy._contractible(rows, row, budget)
+            and homotopy._contractible(rows, full ^ 1 << i, budget)
+        )
+        steps.append((G.points[i], G.neighbors(G.points[i])))
+        G = G.delete_points([G.points[i]])
+    return steps
+
+
+def test_witness_steps_and_charges_match_the_definition():
+    """The witness searches each puncture on its rows, skipping prunes
+    (a) and (b) but for a one-point puncture: that changes no step and no
+    charge against a loop that asks for every puncture as a mask."""
+    rng = random.Random(3)
+    inputs = [
+        support.path(2),
+        support.path(40),
+        support.random_tree(random.Random(40), 40),
+        minimal_disk(2),
+        minimal_disk(3),
+    ]
+    for sphere in (minimal_sphere(2), minimal_sphere(3)):
+        for _ in range(6):
+            sphere = r_transform(sphere, *rng.choice(sphere.edges))
+        inputs.append(sphere.delete_points([sphere.points[0]]))
+    for G in inputs:
+        cache.clear_all()
+        budget = Budget(None)
+        trace = contractible_witness(G, budget)
+        cache.clear_all()
+        reference = Budget(None)
+        assert is_contractible(G, reference)
+        steps = _reference_witness(G, reference)
+        assert [(step.points[0], step.rim) for step in trace.steps] == steps
+        assert budget.spent == reference.spent
+
+
 def test_witness_rejects_non_contractible():
     with pytest.raises(ValueError):
         contractible_witness(support.cycle(5))
@@ -462,6 +508,11 @@ def test_reduce_flags_a_spent_budget_and_keeps_a_replayable_trace(cold_memo):
     assert result.exhausted
     assert len(result.space) < len(punctured)
     assert replay(result.trace, punctured) == result.space
+
+
+def test_reduce_refuses_a_strategy_it_does_not_know():
+    with pytest.raises(ValueError, match="^unknown strategy: 'delete-only'$"):
+        reduce_space(support.path(3), "delete-only")
 
 
 def test_reduce_torus_and_plane():

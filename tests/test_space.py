@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import pytest
 
@@ -77,6 +78,24 @@ def test_equality_ignores_caches():
     assert G == H
     assert hash(G) == hash(H)
     assert G != H.delete_points(["c0"])
+
+
+def test_refusals_and_dunders_are_pinned():
+    """The exact message of each refusal, and what ==, iteration and repr
+    give."""
+    G = DigitalSpace(["a", "b"], [("a", "b")])
+    for call, message in (
+        (lambda: DigitalSpace(["a"], [("b", "a")]), "edge endpoint is not a point: 'b'"),
+        (lambda: G.joint_rim("a", "a"), "joint rim needs two distinct points: 'a'"),
+        (lambda: G.add_point("c-d"), "invalid point id: 'c-d'"),
+        (lambda: G.add_edge("a", "a"), "self-loop at 'a'"),
+        (lambda: G.relabeled({"a": "x"}), "mapping misses point 'b'"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+    assert G.__eq__(3) is NotImplemented and G != 3 and not G == 3
+    assert list(G) == ["a", "b"]
+    assert repr(G) == "DigitalSpace(points=2, edges=1)"
 
 
 def test_induced_subspace_of_cycle_is_path():

@@ -60,6 +60,7 @@ def test_parse_errors_carry_line_numbers():
         ("digitop 1\npoint a$\n", 2, "invalid point id"),
         ("digitop 1\npoint a\npoint a\n", 3, "duplicate point"),
         ("digitop 1\npoint a\nedge a a\n", 3, "self-loop"),
+        ("digitop 1\npoint a\nedge a b-c\n", 3, "invalid point id 'b-c'"),
         ("digitop 1\npoint a\nedge a b\n", 3, "not declared"),
         ("digitop 1\npoint a\npoint b\nedge a b\nedge b a\n", 5, "duplicate edge"),
         ("digitop 1\npoint a\npoint b\nedge a b\npoint c\n", 5, "after edge"),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from functools import reduce
 from operator import or_
 
@@ -29,7 +30,7 @@ from digitop import (
     recognize_sphere,
     torus16,
 )
-from digitop import cache, transform
+from digitop import cache, recognition, transform
 
 
 def test_r_transform_cycle_grows_it():
@@ -158,6 +159,51 @@ def test_compress_is_kept_with_the_space():
     assert compress(copy, fresh) == first
     assert complexity(copy) == len(first.space)
     assert fresh.spent > 0
+
+
+def test_a_contraction_that_breaks_a_ring_rim_is_refused(monkeypatch):
+    """Both contractions check the rims they changed: with add_point
+    made to drop the fresh point's first neighbour, compress and
+    contract_disk refuse the result instead of returning it."""
+    M = _grown(torus16(), 8, 8)
+    v, u = find_edge_disks(M)[0]
+    ball = set(M.neighbors(v)) | set(M.neighbors(u)) | {v, u}
+    add_point = DigitalSpace.add_point
+    monkeypatch.setattr(
+        DigitalSpace,
+        "add_point",
+        lambda space, point_id, neighbors=(): add_point(space, point_id, tuple(neighbors)[1:]),
+    )
+    message = re.escape(f"contracting {(v, u)} left no closed 2-manifold")
+    with pytest.raises(NotAManifoldError, match=message):
+        compress(M)
+    with pytest.raises(NotAManifoldError, match=message):
+        contract_disk(M, ball)
+
+
+def test_compress_walks_the_whole_space_once(monkeypatch):
+    """compress walks every rim of its input once, at entry; after that a
+    contraction checks only the ring's rims, never a whole space."""
+    M = _grown(torus16(), 8, 8)
+    closed_dim = recognition._closed_dim
+    walked = []
+
+    def counted(rows, budget):
+        walked.append(rows)
+        return closed_dim(rows, budget)
+
+    monkeypatch.setattr(recognition, "_closed_dim", counted)
+    monkeypatch.setattr(transform, "_closed_dim", counted, raising=False)
+    result = compress(M)
+    spaces = {M._rows}
+    current = M
+    for step in result.steps:
+        current = current.delete_points(step.interior_removed).add_point(
+            step.new_point, step.boundary
+        )
+        spaces.add(current._rows)
+    assert current == result.space and len(result.steps) > 0
+    assert sum(rows in spaces for rows in walked) == 1
 
 
 def test_compress_fixpoint_is_stable():
@@ -482,6 +528,23 @@ def test_connected_sum_rejects_bad_matching():
     bad = {"p1a": "o_p1a", "p2a": "o_p1b", "p1b": "o_p2a", "p2b": "o_p2b"}
     with pytest.raises(ValueError):
         connected_sum(octa, "p0a", other, "o_p0a", matching=bad)
+
+
+def test_connected_sum_refusals_are_pinned():
+    """An id that both summands keep, and a matching that misses a rim
+    point or lands off the second rim, are refused by name."""
+    square = support.cycle(4)
+    with pytest.raises(ValueError, match=re.escape("id collisions between summands: ['c2']")):
+        connected_sum(square, "c0", square, "c0")
+    octa = minimal_sphere(2)
+    other = octa.prefixed("o_")
+    whole = {p: "o_" + p for p in ("p1a", "p1b", "p2a", "p2b")}
+    for matching, message in (
+        ({p: q for p, q in whole.items() if p != "p2b"}, "matching does not cover the first rim exactly"),
+        ({**whole, "p2b": "o_p0b"}, "matching does not map onto the second rim exactly"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            connected_sum(octa, "p0a", other, "o_p0a", matching=matching)
 
 
 def test_edge_compressed_spaces_have_crossing_squares():
