@@ -14,7 +14,8 @@ of wall_s over the sizes of at least 100 points, per input, computed
 by bench/tracing.py's loglog_slope.  Then, for each size in WITNESSES,
 it runs contractible_witness on path(n), memo cleared, and prints the
 same fields plus the number of steps.  Then it runs
-catalog(n, max_points) for each pair in CATALOGS, memo cleared, with the
+catalog(n, max_points) for each pair in CATALOGS, (2, 7) through
+(2, 11), (3, 8) through (3, 11) and (4, 11), memo cleared, with the
 default catalog budget, and prints the same fields plus exhaustive and
 the entry count.  Then it runs is_contractible on the complete graph
 with n points for each n in CONES, memo cleared, and prints wall_s and
@@ -67,8 +68,8 @@ from tracing import loglog_slope  # noqa: E402
 
 SIZES = (50, 100, 200, 400, 800)
 WITNESSES = (100, 200, 400, 800, 1600)
-CATALOGS = ((2, 7), (2, 8), (2, 9), (2, 10), (3, 8), (3, 9), (3, 10), (3, 11),
-            (4, 11))
+CATALOGS = ((2, 7), (2, 8), (2, 9), (2, 10), (2, 11), (3, 8), (3, 9), (3, 10),
+            (3, 11), (4, 11))
 CONES = (20, 24, 200)
 CANON_COMPLETE = (50, 100, 200)
 CANON_ISOLATED = (100, 200, 400)

@@ -14,7 +14,10 @@ discovered automorphisms.  One link rule, the same in every dimension,
 decides that (see _augmentations): every n-clique has at most 2 common
 neighbours, and the link of every (n-1)-clique is disjoint paths or one
 whole cycle of >= 4 points.  For n >= 3 growth checks the second half
-only in part, and recognition drops what it lets through.
+only in part, and recognition drops what it lets through.  A closing
+bound adds what the points left allow: a link of k paths needs at least
+max(k, 4 - its size) more points to close, and a graph with a link that
+needs more than the points still to come is dropped.
 As in McKay's canonical augmentation ("Isomorph-free exhaustive
 generation", J. Algorithms 26, 1998), a grown graph is kept only when
 its new point is designated, a label-invariant choice of the points it
@@ -113,7 +116,8 @@ def classification_report(
 
 # -- catalog generation ----------------------------------------------------------
 
-# catalog(2, 10) is exhaustive after about 494k nodes of this budget
+# catalog(2, 10) is exhaustive after about 56k nodes of this budget,
+# catalog(2, 11) after 643k and catalog(3, 11) after 87k
 DEFAULT_CATALOG_BUDGET = 4_000_000
 
 
@@ -250,6 +254,22 @@ def _augmentations(
     point: it may be a cycle with other points beside it.  Such a graph
     extends to no manifold, and recognition drops it later.
 
+    A closing bound counts the points a link still needs (_needs).  The
+    rim of a point of a closed n-manifold is an (n-1)-sphere, and a rim
+    of a rim is a sphere one dimension lower, so the link of an
+    (n-1)-clique F, its points' rims taken one inside the next, is a
+    digital 1-sphere: an induced cycle of >= 4 points.  The link of F in
+    the grown graph, an induced subgraph, is that cycle or an induced
+    proper part of it: k paths, with k gaps that each take a point, and
+    at least 4 - |link(F)| points missing.  A leaf is dropped when one
+    of its links needs more than remaining points.  p adds at most one
+    point to a link, filling at most one gap, so a child needs at most
+    one point fewer than its parent, and a graph that fails the bound
+    has no descendant that passes it.  So a link of rows that needs more
+    than remaining points must gain p: every point of its clique is
+    forced.  The leaf then checks only the cliques inside p and its
+    neighbours, as p leaves every other link as rows had it.
+
     A surviving mask that one of the generators, automorphisms of rows,
     maps to a smaller one is dropped: that graph is isomorphic and comes
     first, so each class keeps its first mask.
@@ -263,8 +283,12 @@ def _augmentations(
             return []
         if degree < floor:
             forced |= 1 << v
-        if min(map(int.bit_count, _links(rows, row, n - 1, row)), default=0) < 2:
+        links = _links(rows, row, n - 1, row)
+        if min((link.bit_count() for _, link in links), default=0) < 2:
             allowed |= 1 << v
+    for clique, need in _needs(rows, n, (1 << s) - 1):
+        if need > remaining:
+            forced |= clique
     if s < floor or forced & ~allowed:
         return []
     kept: list[tuple[int, list[int]]] = []
@@ -289,7 +313,9 @@ def _augmentations(
             continue
         if mask:
             grown = [row | new if mask >> i & 1 else row for i, row in enumerate(rows)]
-            kept.append((mask, grown + [mask]))
+            grown.append(mask)
+            if all(need <= remaining for _, need in _needs(grown, n, mask | new)):
+                kept.append((mask, grown))
     if len(kept) > 1 and generators:
         kept = [
             (mask, candidate)
@@ -322,7 +348,7 @@ def _may_join(rows: list[int], n: int, v: int, mask: int) -> int:
     common = rows[v] & mask
     grown = mask | 1 << v
     full = (1 << len(rows)) - 1
-    for link in _links(rows, common, n - 1, full):
+    for _, link in _links(rows, common, n - 1, full):
         # per (n-1)-clique F in common: F + v gains p as a common
         # neighbour, and p gains the neighbour v in link(F)
         ends = link & grown
@@ -331,7 +357,7 @@ def _may_join(rows: list[int], n: int, v: int, mask: int) -> int:
         if ends.bit_count() == 2 and not _link(rows, ends, link):
             return 0
     closed = 1
-    for link in _links(rows, common, n - 2, full):
+    for _, link in _links(rows, common, n - 2, full):
         # per (n-2)-clique G in common: p joins link(v + G) and v joins
         # link(p + G), each next to ends
         ends = link & common
@@ -345,18 +371,40 @@ def _may_join(rows: list[int], n: int, v: int, mask: int) -> int:
     return closed if n == 2 else 1
 
 
-def _links(rows: list[int], within: int, k: int, common: int):
-    """For each k-clique inside within, the points of common adjacent to
-    all of it: common itself for k = 0, nothing for k < 0."""
+def _links(rows: list[int], within: int, k: int, common: int, clique: int = 0):
+    """(clique mask, link) for each k-clique inside within, the link being
+    the points of common adjacent to all of it: common itself for k = 0,
+    with the empty clique, nothing for k < 0."""
     if k == 0:
-        yield common
+        yield clique, common
     while k > 0 and within:
         v = (within & -within).bit_length() - 1
         within &= within - 1
         if k == 1:
-            yield common & rows[v]
+            yield clique | 1 << v, common & rows[v]
         else:
-            yield from _links(rows, within & rows[v], k - 1, common & rows[v])
+            yield from _links(
+                rows, within & rows[v], k - 1, common & rows[v], clique | 1 << v
+            )
+
+
+def _needs(rows: list[int], n: int, within: int):
+    """(clique mask, need) for each (n-1)-clique F inside within: the
+    points that link(F) still needs to close into one induced cycle of
+    >= 4 points.  0 when it is one: connected, 2-regular, >= 4 points.
+    Else max(k, 4 - |link(F)|) for its k components, as each of its k
+    paths leaves a gap that takes a point to fill."""
+    full = (1 << len(rows)) - 1
+    for clique, link in _links(rows, within, n - 1, full):
+        paths, rest = 0, link
+        while rest:
+            rest &= ~_reach(rows, rest & -rest, link)
+            paths += 1
+        size = link.bit_count()
+        closed = paths == 1 and size >= 4 and all(
+            (rows[v] & link).bit_count() == 2 for v in _bits(link)
+        )
+        yield clique, 0 if closed else max(paths, 4 - size)
 
 
 def _link(rows: list[int], ends: int, rim: int) -> int:

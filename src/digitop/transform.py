@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterator
 
 from .budget import Budget, ensure_budget
@@ -177,10 +177,15 @@ def _disks(
     rows, and the cone as its own rows with their full mask.  That is
     recognize_disk's cone test, whose rim split adds nothing: a point of
     N(I) has a punctured sphere as its rim in I + N(I), no sphere.
+
+    The edges stream from _edges, so a caller that stops at a disk has
+    built no mask for the edges after it; the grown interiors follow in
+    the order they were grown.  Those have >= 3 points, so seen never
+    needs the edges.
     """
-    queue = [1 << i | 1 << j for i, j in _edges(rows)]
-    seen = set(queue)
-    for inside in queue:
+    grown_queue: list[int] = []
+    seen: set[int] = set()
+    for inside in chain((1 << i | 1 << j for i, j in _edges(rows)), grown_queue):
         budget.charge()
         ring = 0
         for p in _bits(inside):
@@ -195,7 +200,7 @@ def _disks(
                 grown = inside | 1 << p
                 if grown not in seen:
                     seen.add(grown)
-                    queue.append(grown)
+                    grown_queue.append(grown)
 
 
 def compress(M: DigitalSpace, budget: Budget | None = None) -> CompressionResult:

@@ -258,6 +258,46 @@ def links_hold(rows: Sequence[int], n: int, within: int = -1) -> bool:
     return reference_link_rule(rows, n, within)
 
 
+def closing_bound_holds(rows: Sequence[int], n: int, remaining: int) -> bool:
+    """Can the link of every (n-1)-clique, found by brute force over point
+    sets, still close into one induced cycle of >= 4 points with
+    remaining more points?  A closed link (connected, 2-regular, >= 4
+    points) needs none.  Any other is taken as k components, which need
+    a point per gap and 4 points in all: max(k, 4 - its size) more."""
+    return _largest_closing_need(tuple(rows), n) <= remaining
+
+
+@cache
+def _largest_closing_need(rows: tuple[int, ...], n: int) -> int:
+    if n < 1:
+        return 0
+    nbrs = [{w for w in range(len(rows)) if row >> w & 1} for row in rows]
+    largest = 0
+    for clique in itertools.combinations(range(len(rows)), n - 1):
+        if not all(q in nbrs[p] for p, q in itertools.combinations(clique, 2)):
+            continue
+        link = set(range(len(rows))).difference(clique).intersection(
+            *(nbrs[p] for p in clique)
+        )
+        components = 0
+        unseen = set(link)
+        while unseen:
+            components += 1
+            frontier = [unseen.pop()]
+            while frontier:
+                found = unseen & nbrs[frontier.pop()]
+                unseen -= found
+                frontier.extend(found)
+        closed = (
+            components == 1
+            and len(link) >= 4
+            and all(len(nbrs[u] & link) == 2 for u in link)
+        )
+        if not closed:
+            largest = max(largest, components, 4 - len(link))
+    return largest
+
+
 _EXTENSIONS: dict[tuple, list] = {}
 
 

@@ -154,6 +154,18 @@ def test_catalog_dimension_2():
     assert entry.form.encoding == canonical_form(minimal_sphere(2)).encoding
 
 
+def test_catalog_3_11_is_exhaustive_within_the_default_budget():
+    """Dropping graphs whose (n-1)-clique links cannot close in the points
+    left brings catalog(3, 11) under the default budget (it needs about
+    87k nodes; without the bound, 4.7M).  The only compressed closed
+    3-manifold through 11 points is the 8-point 3-sphere."""
+    cat = catalog(3, 11)
+    assert cat.exhaustive
+    assert [entry.form.encoding for entry in cat.entries] == [
+        canonical_form(minimal_sphere(3)).encoding
+    ]
+
+
 def test_catalog_budget_exhaustion_is_flagged_not_raised():
     cat = catalog(2, 9, Budget(500))
     assert not cat.exhaustive
@@ -170,14 +182,17 @@ def _is_subsequence(part, whole) -> bool:
 def test_catalog_growth_matches_the_full_mask_loop(n, max_points):
     """The neighbourhood search against the loop over all 2^s masks of
     every graph one point smaller, filtered by brute force (the degree
-    floor, at most 2 common neighbours per n-clique, reference_link_rule):
-    the same classes per tier, in canonical encoding order, each grown
-    graph connected.  Which labelled copy stands for a class may differ."""
+    floor, at most 2 common neighbours per n-clique, reference_link_rule)
+    and then by closing_bound_holds with max_points - size points to
+    come: the same classes per tier, in canonical encoding order, each
+    grown graph connected.  Which labelled copy stands for a class may
+    differ."""
     grown = list(_grown_connected_graphs(n, max_points, Budget(None)))
     keys = [(len(rows), canonical_encoding_rows(rows)) for rows in grown]
     assert keys == sorted(
         (len(rows), canonical_encoding_rows(rows))
         for rows in support.all_connected_rows(max_points, n)
+        if support.closing_bound_holds(rows, n, max_points - len(rows))
     )
     for rows in grown:
         assert _connected(rows, range(len(rows))), rows
@@ -302,8 +317,8 @@ def test_rim_check_matches_the_reference():
 
 def test_augmentations_match_the_brute_force_mask_filter():
     """Against every mask filtered by brute force, with the tier's
-    generators: for n = 1 and n = 2 the same candidates in the same
-    order.  For n = 3 the brute force is an ordered subsequence: the
+    generators, and then by closing_bound_holds with remaining points to
+    come: for n = 1 and n = 2 the same candidates in the same order.  For n = 3 the brute force is an ordered subsequence: the
     search checks each link as a point joins, and lets through a link
     that an old point's rim closes into a cycle with another point
     beside it.  The search relies on rows having passed the rule one
@@ -317,7 +332,11 @@ def test_augmentations_match_the_brute_force_mask_filter():
             if not support.links_hold(rows, n):
                 continue
             for remaining in range(5):
-                expected = support.extensions_by_masks(rows, n, remaining, generators)
+                expected = [
+                    grown
+                    for grown in support.extensions_by_masks(rows, n, remaining, generators)
+                    if support.closing_bound_holds(grown, n, remaining)
+                ]
                 grown = _augmentations(rows, n, remaining, Budget(None), generators)
                 if n < 3:
                     assert grown == expected, (rows, remaining)
