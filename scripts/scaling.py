@@ -3,9 +3,11 @@
 
     python3 scripts/scaling.py [--src DIR]
 
-For each size n in SIZES it runs is_contractible on path(n) and on a
-seeded random tree with n points, each with the memo tables cleared
-first, and prints one JSON row per run: input, n, wall_s, nodes (budget
+For each size n in SIZES (50 through 3,200) it runs is_contractible on
+path(n) and on a seeded random tree with n points, each with the memo
+tables cleared first, and prints one JSON row per run: input, n,
+wall_s, held_mb (memory still allocated after the call, the memo full,
+by tracemalloc, which runs for these rows only), nodes (budget
 charged), canon_calls (canonical searches, counted by wrapping
 digitop.canon._canonical) and subspaces (subspaces built as
 DigitalSpaces, deletions of points included, counted by wrapping
@@ -59,6 +61,7 @@ import json
 import random
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -66,7 +69,7 @@ sys.path.insert(0, str(REPO / "bench"))
 
 from tracing import loglog_slope  # noqa: E402
 
-SIZES = (50, 100, 200, 400, 800)
+SIZES = (50, 100, 200, 400, 800, 1600, 3200)
 WITNESSES = (100, 200, 400, 800, 1600)
 CATALOGS = ((2, 7), (2, 8), (2, 9), (2, 10), (2, 11), (3, 8), (3, 9), (3, 10),
             (3, 11), (4, 11))
@@ -147,10 +150,15 @@ def main(argv=None) -> int:
             start = time.perf_counter()
             verdict = dg.is_contractible(space, budget)
             wall = time.perf_counter() - start
-            print(json.dumps({"input": name, "n": n, "wall_s": round(wall, 4),
-                              "nodes": budget.spent, "canon_calls": calls[0],
-                              "subspaces": subspaces[0], "contractible": verdict}),
-                  flush=True)
+            row = {"input": name, "n": n, "wall_s": round(wall, 4), "nodes": budget.spent,
+                   "canon_calls": calls[0], "subspaces": subspaces[0],
+                   "contractible": verdict}
+            dg.cache.clear_all()
+            tracemalloc.start()
+            dg.is_contractible(space)
+            row["held_mb"] = round(tracemalloc.get_traced_memory()[0] / 2**20, 3)
+            tracemalloc.stop()
+            print(json.dumps(row), flush=True)
             if n >= 100:
                 slopes.setdefault(name, []).append((n, wall))
     print(json.dumps({"loglog_slope_n_ge_100": {

@@ -14,16 +14,27 @@ different branches.  A relabeled copy of a space the table holds has
 other rows, so it misses and is decided again.  Entries keep rows, not
 spaces: a stored space would keep its point ids and caches alive.
 
-Tables are capped at CAPACITY rows; on overflow the whole table is
+Two tables of homotopy are keyed otherwise (the rule and its proof are
+in homotopy.py).  _LEVELS maps the rows of a space is_contractible was
+asked about (its top) to a plain dict from the mask of a long deletion
+level's surviving points, over the top's rows, to False.  A top has a
+dict only once its chain finds such a level not contractible, and a
+space with equal rows shares it.  _TRUE_LEVELS maps a number of points
+to the last (top rows, mask) of that size found contractible, so it
+holds at most one entry per size.  clear_all drops both with the rest.
+
+Tables are capped at CAPACITY keys; on overflow the whole table is
 dropped, which keeps the code free of eviction bookkeeping while
-bounding memory.
+bounding memory.  A top's dict in _LEVELS is capped at CAPACITY masks
+the same way, so _LEVELS holds at most CAPACITY tops of at most
+CAPACITY masks each.
 """
 
 from __future__ import annotations
 
 MISSING = object()
 
-# rows per table before it is dropped
+# keys per table, or masks per top's dict, before it is dropped
 CAPACITY = 200_000
 
 _REGISTRY: list["FormCache"] = []

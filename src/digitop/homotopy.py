@@ -8,8 +8,8 @@ contractible when simple-point deletions alone can shrink it to a
 single point.
 
 is_contractible decides that by backtracking over simple-point
-deletions, memoized under each space's rows (cache.py), with sound
-prunes evaluated in a fixed order:
+deletions, memoized under each space's rows, or a long deletion level's
+mask (cache.py), with sound prunes evaluated in a fixed order:
 
   (a) one point: contractible
   (b) disconnected: not contractible
@@ -32,10 +32,9 @@ chi(O(v)), so chi stays 1.
 
 Each level is a generator, _contractible_steps, which yields those of
 its rims and deletions; space._run drives them on an explicit stack.
-A level is a tuple of bitmask rows, which is also its memo key, and no
-DigitalSpace is built below the public entry points.  A root is asked
-for as (rows, mask), a space's rows and the mask of the subspace: the
-whole space for is_contractible, a rim or joint rim for the
+No DigitalSpace is built below the public entry points.  A root is
+asked for as (rows, mask), a space's rows and the mask of the subspace:
+the whole space for is_contractible, a rim or joint rim for the
 transformations, a puncture for recognition.  contractible_witness
 searches a puncture on its _without rows, those of the step's space.
 _contractible, and a level for each of its rims, decides (a) and (b)
@@ -43,9 +42,38 @@ from the mask on those rows, and builds the root's rows
 (space._induced) only for a subspace they leave open, one that is
 connected and has two or more points.  (a) and (b) come before a
 root's memo lookup, so deciding them first skips no lookup and no
-charge.  A deletion down a chain slices out one row and shifts the
-others past it (space._without).  Every root, a top-level call
-included, counts its cliques for chi on its rows.
+charge.  Every root, a top-level call included, counts its cliques for
+chi on its rows.
+
+A root's memo key is its tuple of bitmask rows, and so is every
+level's but those of one kind.  Let B be the largest degree of the top,
+the space is_contractible was asked about.  Every rim the search meets
+is top[v] & alive, a subset of top[v], so it has at most B points, and
+the levels and rims of a rim have fewer still.  So a deletion level of
+the top with more than B points never has a rim's rows, and keying it
+by its alive mask over the top's rows loses no share with a rim.  It
+loses one with another level of the top whose rows are equal under
+another mask: with two equal tails hung from one point of a projective
+plane, either tail gone leaves the same rows.  The search meets such a
+pair only among levels it finds False, as a True level ends it, and
+pays a node for each, where a search keyed by rows pays one.
+is_contractible runs those levels as masks: no rows are rebuilt, a rim
+is top[v] & alive, and the cone test runs only at B + 1 points, as a
+larger level has no point with enough neighbours.  The first level
+with B points has its rows built once (space._induced) and its masks
+re-indexed onto them; it and every level below it are keyed by rows,
+as is every search other than a top's chain (rims, joint rims,
+attachments, punctures and the witness's steps).  Such a level may
+equal a rim, and sharing that entry keeps a class charged once.  A top
+whose chain finds a level False keeps that mask in its own table,
+_LEVELS, under the top's rows.  A True level ends its search, so each
+size has at most one: _TRUE_LEVELS keeps the last (top, mask) of each
+size, and a level keyed by rows that misses compares its rows with the
+entry of its size (_true_level).  So a puncture asked on its rows after
+its space's chain, as by contractible_witness, finds the level that
+chain found contractible, as when every level was keyed by rows.  A
+cold path of 3,200 points leaves one root entry and 3,197 masks, about
+1.7 MiB, where rows keys held about 861 MiB.
 
 Deleting v changes only the rims of v's neighbours, so a level inherits
 its parent's simple points and re-checks those rims alone, in point
@@ -66,6 +94,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .budget import Budget, BudgetExceeded, ensure_budget
+from . import cache
 from .cache import MISSING, FormCache
 from .canon import canonical_form
 from .space import (
@@ -81,6 +110,12 @@ from .space import (
 )
 
 _CONTRACTIBLE = FormCache()
+# a top's rows -> {alive mask: False}, its levels above B found not
+# contractible; made when the first one is found
+_LEVELS = FormCache()
+# a number of points -> (top rows, alive mask): the last level of that
+# size above its top's B found contractible
+_TRUE_LEVELS = FormCache()
 
 
 class NotSimpleError(ValueError):
@@ -96,7 +131,46 @@ class TraceError(ValueError):
 
 def is_contractible(G: DigitalSpace, budget: Budget | None = None) -> bool:
     """Decide whether G reduces to a point by simple-point deletions."""
-    return _contractible(G._rows, (1 << len(G)) - 1, ensure_budget(budget))
+    rows = G._rows
+    verdict = _pruned(rows, (1 << len(rows)) - 1)
+    if verdict is None:
+        verdict = _run(_contractible_steps(rows, None, ensure_budget(budget), _Chain(rows)))
+    return verdict
+
+
+class _Chain:
+    """The deletion chain of a top, the space is_contractible was asked
+    about: its rows, B (its largest degree), and the masks of its levels
+    above B.  The top's table in _LEVELS is looked up at the first such
+    level, after the top's own rows missed."""
+
+    __slots__ = ("top", "bound", "levels")
+
+    def __init__(self, top: tuple[int, ...]):
+        self.top, self.bound, self.levels = top, max(map(int.bit_count, top)), None
+
+    def get(self, alive: int):
+        if self.levels is None:
+            self.levels = _LEVELS.get(self.top)
+        return MISSING if self.levels is MISSING else self.levels.get(alive, MISSING)
+
+    def put(self, alive: int, result: bool) -> None:
+        if result:
+            _TRUE_LEVELS.put(alive.bit_count(), (self.top, alive))
+            return
+        if self.levels is MISSING:
+            self.levels = {}
+            _LEVELS.put(self.top, self.levels)
+        elif len(self.levels) >= cache.CAPACITY:
+            self.levels.clear()
+        self.levels[alive] = False
+
+
+def _true_level(rows: tuple[int, ...]):
+    """True when rows are those of the level of their size in
+    _TRUE_LEVELS, else MISSING."""
+    entry = _TRUE_LEVELS.get(len(rows))
+    return True if entry is not MISSING and _induced(*entry) == rows else MISSING
 
 
 def _contractible(rows: tuple[int, ...], mask: int, budget: Budget) -> bool:
@@ -119,28 +193,49 @@ def _pruned(rows, mask: int) -> bool | None:
     return None
 
 
-def _contractible_steps(rows: tuple[int, ...], inherited, budget: Budget):
-    """One search level, on the rows of a connected space of two or more
-    points.  inherited is None at a root (a top-level call or a rim); on a
-    deletion chain it is (simple, stale): bitmasks over the points of
-    those known simple and those whose rims changed.  A root's chi is
-    counted on its rows.  The level yields the search of each rim and
+def _contractible_steps(
+    rows: tuple[int, ...], inherited, budget: Budget, chain=None, alive=None
+):
+    """One search level: the subspace of rows induced by alive, or all
+    of rows when alive is None, connected and of two or more points.
+    inherited is None at a root (a top-level call or a rim); on a
+    deletion chain it is (simple, stale): masks over rows of the points
+    known simple and of those whose rims changed.  A root's chi is
+    counted on its rows.  chain is None except on an is_contractible
+    top's chain, where it is the top's _Chain: a deletion with more than
+    B points stays alive over the top's rows, and one with B points gets
+    its rows built.  The level yields the search of each rim and
     deletion it needs a verdict on, except a rim that prunes (a) or (b)
-    decide from the level's rows and the rim's mask."""
-    hit = _CONTRACTIBLE.get(rows)
+    decide from the rows and the rim's mask."""
+    whole = alive is None
+    if whole:
+        hit = _CONTRACTIBLE.get(rows)
+        if hit is MISSING:
+            hit = _true_level(rows)
+    else:
+        hit = chain.get(alive)
     if hit is not MISSING:
         return hit
     budget.charge()
-    n = len(rows)
-    # no row holds its own point, so a cone point's row has n - 1 bits
-    if n - 1 in map(int.bit_count, rows):
+    full = (1 << len(rows)) - 1
+    # no row holds its own point, so a cone point's row has n - 1 bits;
+    # no point has more than B, so a level above B + 1 points is no cone
+    if whole:
+        alive, n = full, len(rows)
+        cone = n - 1 in map(int.bit_count, rows)
+    else:
+        n = alive.bit_count()
+        cone = n - 1 <= chain.bound and any(
+            (rows[i] & alive).bit_count() == n - 1 for i in _bits(alive)
+        )
+    if cone:
         result = True
     elif inherited is None and _euler(rows) != 1:
         result = False
     else:
-        simple, stale = inherited or (0, (1 << n) - 1)
+        simple, stale = inherited or (0, full)
         for i in _bits(stale):
-            mask = rows[i]
+            mask = rows[i] & alive
             verdict = _pruned(rows, mask)
             if verdict is None:
                 verdict = yield _contractible_steps(_induced(rows, mask), None, budget)
@@ -149,13 +244,31 @@ def _contractible_steps(rows: tuple[int, ...], inherited, budget: Budget):
         result = False
         if simple.bit_count() >= 2:
             for i in _bits(simple):
-                row = rows[i]
-                child = (_drop(simple & ~row, i), _drop(row, i))
-                if (yield _contractible_steps(_without(rows, i), child, budget)):
+                # the child's simple and stale points, over these rows
+                row = rows[i] & alive
+                kept, rest = simple & ~row ^ 1 << i, alive ^ 1 << i
+                if chain is not None and n - 1 > chain.bound:
+                    level = _contractible_steps(rows, (kept, row), budget, chain, rest)
+                else:  # one row off whole rows, or the top's first level with B points
+                    child = (_packed(kept, rest), _packed(row, rest))
+                    level = _contractible_steps(_induced(rows, rest), child, budget)
+                if (yield level):
                     result = True
                     break
-    _CONTRACTIBLE.put(rows, result)
+    if whole:
+        _CONTRACTIBLE.put(rows, result)
+    else:
+        chain.put(alive, result)
     return result
+
+
+def _packed(mask: int, within: int) -> int:
+    """mask, a subset of within, re-indexed onto the points of within in
+    order: each point goes to the number of points of within below it."""
+    out = 0
+    for i in _bits(mask):
+        out |= 1 << (within & (1 << i) - 1).bit_count()
+    return out
 
 
 def is_simple_point(G: DigitalSpace, v: str, budget: Budget | None = None) -> bool:
@@ -318,24 +431,34 @@ def contractible_witness(
     connected too (module docstring): prunes (b) never fires on it, and
     (a) only on a one-point puncture, contractible at no charge.  The
     puncture's rows (_without) go to the search as they are and become
-    the step's space.
+    the step's space.  Each step follows the first check's choice, so
+    its puncture is mostly the level of its size that check found
+    contractible: the step keeps the puncture's mask over G and finds
+    it in _TRUE_LEVELS by that mask, which the search would find by
+    comparing rows (_true_level) at the same (nil) charge.
     """
     budget = ensure_budget(budget)
     if not is_contractible(G, budget):
         raise ValueError("space is not contractible")
     start = canonical_form(G).encoding
+    top, alive = G._rows, (1 << len(G)) - 1
     steps = []
     while len(G) > 1:
         rows = G._rows
-        for i, row in enumerate(rows):
+        for i, (row, v) in enumerate(zip(rows, _bits(alive))):
             if _contractible(rows, row, budget):
-                rest = _without(rows, i)
-                if len(rest) == 1 or _run(_contractible_steps(rest, None, budget)):
+                rest, left = _without(rows, i), alive ^ 1 << v
+                if (
+                    len(rest) == 1
+                    or _TRUE_LEVELS.get(len(rest)) == (top, left)
+                    or _run(_contractible_steps(rest, None, budget))
+                ):
                     break
         else:  # pragma: no cover - contradicts contractibility
             raise AssertionError("no usable simple point in a contractible space")
         steps.append(TransformStep("delete-point", (G._ids[i],), G._ids_of(row)))
         G = DigitalSpace._from_rows(G._ids[:i] + G._ids[i + 1 :], rest)
+        alive = left
     return TransformTrace(start, tuple(steps), canonical_form(G).encoding)
 
 

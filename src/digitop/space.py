@@ -17,7 +17,11 @@ canonical and contractibility searches on an explicit stack.
 _induced is the one subspace builder: the searches below the public
 API take (rows, mask) and call it only for the subspaces the mask
 alone does not decide, and every subspace a DigitalSpace method
-returns, a deletion included, is built by it.
+returns, a deletion included, is built by it.  The contractibility
+search builds none for the deletion levels of a whole space that have
+more points than its largest degree: they stay masks over its rows,
+and only the first level with that many points is built, once (the
+rule is in homotopy.py).
 """
 
 from __future__ import annotations

@@ -133,13 +133,16 @@ def _clique_links(rows: Sequence[int], size: int, within: int = -1, common: int 
 
 
 def connected(rows: Sequence[int], mask: int) -> bool:
-    """Are the points of mask joined by paths inside mask?"""
-    seen = mask & -mask
-    while True:
-        grown = seen | mask & reduce(or_, (row for i, row in enumerate(rows) if seen >> i & 1), 0)
-        if grown == seen:
-            return seen == mask
-        seen = grown
+    """Are the points of mask joined by paths inside mask?  Walks the
+    points of mask alone, one at a time."""
+    seen = frontier = mask & -mask
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = rows[low.bit_length() - 1] & mask & ~seen
+        seen |= new
+        frontier |= new
+    return seen == mask
 
 
 def sub_rows(rows: Sequence[int], mask: int) -> tuple[int, ...]:
@@ -430,6 +433,59 @@ def contractible(rows: tuple[int, ...]) -> bool:
     if len(rows) <= 9:
         return naive_contractible_rows(rows)
     return is_contractible(space_from_rows(rows))
+
+
+def _rows_euler(rows: Sequence[int]) -> int:
+    """Euler characteristic of the clique complex of rows."""
+    chi, size = 0, 1
+    while count := sum(1 for _ in _clique_links(rows, size)):
+        chi += count if size % 2 else -count
+        size += 1
+    return chi
+
+
+def reference_contractible(rows: tuple[int, ...]) -> tuple[bool, int]:
+    """(verdict, nodes) of a search that keys every space it meets by its
+    rows, in a dict of its own, and runs the prunes in the order the
+    library documents: a subspace of at most one point, or a disconnected
+    one, is decided from its mask at no charge; any other space the dict
+    does not hold costs a node, and then a cone is contractible, a space
+    with chi != 1 is not, one with fewer than two simple points is not,
+    and otherwise it is contractible when deleting one of its simple
+    points, tried in point order, leaves a contractible space.  Every rim
+    is asked again at every level, and nodes counts what a cold search
+    with that memo charges.  One call frame per level, so a chain of 400
+    deletions stays inside the default recursion limit."""
+    memo: dict[tuple[int, ...], bool] = {}
+    nodes = 0
+
+    def decide(rows: tuple[int, ...], mask: int) -> bool:
+        if mask.bit_count() <= 1:
+            return mask != 0
+        return connected(rows, mask) and search(sub_rows(rows, mask))
+
+    def search(rows: tuple[int, ...]) -> bool:
+        nonlocal nodes
+        if rows in memo:
+            return memo[rows]
+        nodes += 1
+        n = len(rows)
+        full = (1 << n) - 1
+        result = False
+        if any(row.bit_count() == n - 1 for row in rows):
+            result = True
+        elif _rows_euler(rows) == 1:
+            simple = [v for v in range(n) if decide(rows, rows[v])]
+            if len(simple) >= 2:
+                for v in simple:
+                    if search(sub_rows(rows, full ^ 1 << v)):
+                        result = True
+                        break
+        memo[rows] = result
+        return result
+
+    verdict = decide(rows, (1 << len(rows)) - 1)
+    return verdict, nodes
 
 
 @cache

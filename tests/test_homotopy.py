@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -729,6 +730,120 @@ def test_search_survives_memo_overflow(cold_memo, monkeypatch):
         M = {"torus16": torus16, "projective_plane11": projective_plane11}[name]()
         result = reduce_space(M.delete_points([M.points[0]]), strategy)
         assert _compact(result.trace.steps) == steps
+
+
+def _tailed_plane(*lengths) -> DigitalSpace:
+    """projective_plane11 with a path of each length hanging from its first
+    point.  Its chi is 1 and the tails' ends are simple, but the plane
+    never shrinks: every deletion level is found not contractible, and
+    the search meets most of them again down another order of deletions."""
+    G = projective_plane11()
+    for tail, length in enumerate(lengths):
+        last = G.points[0]
+        for k in range(length):
+            G = G.add_point(f"t{tail}x{k}", [last])
+            last = f"t{tail}x{k}"
+    return G
+
+
+def test_cold_charges_match_a_search_keyed_by_rows(cold_memo):
+    """is_contractible keys the deletion levels of a top with more points
+    than its largest degree by their masks over the top.  No rim can
+    equal such a level, and on these inputs no two levels of one top with
+    different masks have equal rows, so a cold ask gives the verdict and
+    the charge of a search that keys every space by its rows."""
+    spaces = [support.space_from_rows(rows) for rows in support.all_connected_rows(7)]
+    for n in (50, 100, 200, 400):
+        spaces += [support.path(n), support.random_tree(random.Random(n), n)]
+    for seed in range(3):
+        spaces += _punctured_grown(seed)
+    for G in spaces:
+        cache.clear_all()
+        budget = Budget()
+        verdict = is_contractible(G, budget)
+        assert (verdict, budget.spent) == support.reference_contractible(support.rows_of(G)), (
+            G.points
+        )
+
+
+def test_levels_found_false_stay_in_the_top_table(cold_memo, monkeypatch):
+    """A top's deletion levels found not contractible stay in its table of
+    masks: asked again after the rows table is dropped, the top charges
+    its root and rims again but none of those levels.  A table capped at
+    CAPACITY masks is dropped whole and the verdict stays."""
+    G = _tailed_plane(4, 4)
+    cold = Budget()
+    assert not is_contractible(G, cold)
+    table = homotopy._LEVELS.get(G._rows)
+    assert table and set(table.values()) == {False}
+    homotopy._CONTRACTIBLE.clear()
+    warm = Budget()
+    assert not is_contractible(G, warm)
+    assert 0 < warm.spent <= cold.spent - len(table)
+    monkeypatch.setattr(cache, "CAPACITY", 3)
+    cache.clear_all()
+    assert not is_contractible(G)
+    assert 0 < len(homotopy._LEVELS.get(G._rows)) <= 3
+
+
+def test_no_table_for_a_top_without_levels_found_false(cold_memo):
+    """A contractible top, or one answered from the rows table, leaves no
+    table of masks."""
+    G = support.path(40)
+    assert is_contractible(G)
+    assert is_contractible(G)
+    assert homotopy._LEVELS.get(G._rows) is cache.MISSING
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="mask keys do not share two levels of one top with equal rows "
+    "(the FOUND line on mask keys in CHANGES.md)",
+)
+def test_cold_charges_of_equal_levels_match_a_search_keyed_by_rows(cold_memo):
+    """The levels with k points left on one tail and none on the other
+    have equal rows for either tail, under different masks: a search
+    keyed by rows charges each k once."""
+    G = _tailed_plane(4, 4)
+    budget = Budget()
+    verdict = is_contractible(G, budget)
+    assert (verdict, budget.spent) == support.reference_contractible(support.rows_of(G))
+
+
+@pytest.mark.parametrize("ask_first", [False, True])
+def test_witness_finds_the_levels_its_check_found_contractible(cold_memo, ask_first):
+    """A cold witness of a path charges one node per level of its first
+    check, down to the 3-point cone, and one for the 2-point puncture:
+    each step's puncture has the rows of a level the check found
+    contractible.  Asking is_contractible first on the same budget, as
+    the CLI does, adds nothing."""
+    for n in (4, 50, 400):
+        cache.clear_all()
+        G = support.path(n)
+        budget = Budget()
+        if ask_first:
+            assert is_contractible(G, budget)
+        assert len(contractible_witness(G, budget).steps) == n - 1
+        assert budget.spent == n - 1
+
+
+@pytest.mark.parametrize("shape", ["path", "tree"])
+def test_long_deletion_chain_holds_little_memory(cold_memo, shape):
+    """A cold ask about a 3,200-point path or tree charges one node per
+    level from 3,200 points down to the 3-point cone, and what it leaves
+    in the memo stays small: the levels above the top's largest degree
+    are masks, not rebuilt rows, and a True one is not kept."""
+    n = 3200
+    G = support.path(n) if shape == "path" else support.random_tree(random.Random(n), n)
+    budget = Budget()
+    tracemalloc.start()
+    try:
+        assert is_contractible(G, budget)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert budget.spent == n - 2
+    assert held < 32 << 20
 
 
 # -- the memo is keyed by rows and runs no canonical search -------------------------
