@@ -82,7 +82,7 @@ COMPRESSIONS = (("torus16", 50), ("torus16", 100), ("torus16", 200),
                 ("minimal_sphere3", 30), ("minimal_sphere3", 50))
 REDUCTIONS = ((50, "delete-only"), (100, "delete-only"), (200, "delete-only"),
               (400, "delete-only"), (50, "attach-edges"))
-RELABELED, RELABELED_COPIES = (30, 50), 5
+RELABELED, RELABELED_COPIES = (30, 50, 120), 5
 CENSUS_POINTS = 9
 
 

@@ -14,14 +14,13 @@ different branches.  A relabeled copy of a space the table holds has
 other rows, so it misses and is decided again.  Entries keep rows, not
 spaces: a stored space would keep its point ids and caches alive.
 
-Two tables of homotopy are keyed otherwise (the rule and its proof are
-in homotopy.py).  _LEVELS maps the rows of a space is_contractible was
-asked about (its top) to a plain dict from the mask of a long deletion
-level's surviving points, over the top's rows, to False.  A top has a
-dict only once its chain finds such a level not contractible, and a
-space with equal rows shares it.  _TRUE_LEVELS maps a number of points
-to the last (top rows, mask) of that size found contractible, so it
-holds at most one entry per size.  clear_all drops both with the rest.
+One table of homotopy is keyed otherwise (the rule and its proof are in
+homotopy.py).  _LEVELS maps the rows of a top, a space whose chain was
+searched (a space is_contractible was asked about, a sphere whose
+punctures were tested, a witness's input), to a plain dict from the
+mask of a long level's surviving points, over the top's rows, to its
+verdict.  A top has a dict once its chain decides such a level, and a
+space with equal rows shares it.  clear_all drops it with the rest.
 
 Tables are capped at CAPACITY keys; on overflow the whole table is
 dropped, which keeps the code free of eviction bookkeeping while

@@ -8,8 +8,8 @@ contractible when simple-point deletions alone can shrink it to a
 single point.
 
 is_contractible decides that by backtracking over simple-point
-deletions, memoized under each space's rows, or a long deletion level's
-mask (cache.py), with sound prunes evaluated in a fixed order:
+deletions, memoized under each space's rows, or a long level's mask
+(cache.py), with sound prunes evaluated in a fixed order:
 
   (a) one point: contractible
   (b) disconnected: not contractible
@@ -22,58 +22,53 @@ The cone test comes before chi because it costs one pass over the rows,
 while chi enumerates every clique: a complete graph is answered at once.
 A cone has chi = 1, so the order changes no verdict.
 
-Prunes (a), (b) and (d) run only at a root: a top-level call or a rim.
-Down a deletion chain they can never fire.  A level that deletes is no
-cone, so it has three or more points and G - v has two or more.  A
-simple point's rim is contractible, so it is nonempty and connected,
-and every path through v can detour through it: G - v stays connected.
-A contractible rim has chi = 1, and chi(G - v) = chi(G) - 1 +
-chi(O(v)), so chi stays 1.
+Prunes (a), (b) and (d) run only at a root: a top-level call, a
+puncture or a rim.  Down a deletion chain they can never fire.  A level
+that deletes is no cone, so it has three or more points and G - v has
+two or more.  A simple point's rim is contractible, so it is nonempty
+and connected, and every path through v can detour through it: G - v
+stays connected.  A contractible rim has chi = 1, and chi(G - v) =
+chi(G) - 1 + chi(O(v)), so chi stays 1.
 
 Each level is a generator, _contractible_steps, which yields those of
 its rims and deletions; space._run drives them on an explicit stack.
-No DigitalSpace is built below the public entry points.  A root is
-asked for as (rows, mask), a space's rows and the mask of the subspace:
-the whole space for is_contractible, a rim or joint rim for the
-transformations, a puncture for recognition.  contractible_witness
-searches a puncture on its _without rows, those of the step's space.
-_contractible, and a level for each of its rims, decides (a) and (b)
-from the mask on those rows, and builds the root's rows
-(space._induced) only for a subspace they leave open, one that is
-connected and has two or more points.  (a) and (b) come before a
-root's memo lookup, so deciding them first skips no lookup and no
-charge.  Every root, a top-level call included, counts its cliques for
-chi on its rows.
+No DigitalSpace is built below the public entry points.  A subspace is
+asked for as (rows, mask), a space's rows and the mask of its points,
+through one of two entries.  _contractible asks a rim, joint rim or
+attachment rim: it decides (a) and (b) from the mask and builds the
+rows of a subspace they leave open (space._induced).  _level asks a
+connected subspace of two or more points as a level of a top's chain
+(_Chain), the top being the space whose rows the chain holds:
+is_contractible asks the whole space, recognition a sphere's punctures
+and contractible_witness each step's puncture.  (a) and (b) come before a root's memo lookup, so
+deciding them first skips no lookup and no charge.  A root counts chi
+on the cliques inside its mask (space._clique_counts).
 
-A root's memo key is its tuple of bitmask rows, and so is every
-level's but those of one kind.  Let B be the largest degree of the top,
-the space is_contractible was asked about.  Every rim the search meets
-is top[v] & alive, a subset of top[v], so it has at most B points, and
-the levels and rims of a rim have fewer still.  So a deletion level of
-the top with more than B points never has a rim's rows, and keying it
-by its alive mask over the top's rows loses no share with a rim.  It
-loses one with another level of the top whose rows are equal under
-another mask: with two equal tails hung from one point of a projective
-plane, either tail gone leaves the same rows.  The search meets such a
-pair only among levels it finds False, as a True level ends it, and
-pays a node for each, where a search keyed by rows pays one.
-is_contractible runs those levels as masks: no rows are rebuilt, a rim
-is top[v] & alive, and the cone test runs only at B + 1 points, as a
-larger level has no point with enough neighbours.  The first level
-with B points has its rows built once (space._induced) and its masks
-re-indexed onto them; it and every level below it are keyed by rows,
-as is every search other than a top's chain (rims, joint rims,
-attachments, punctures and the witness's steps).  Such a level may
-equal a rim, and sharing that entry keeps a class charged once.  A top
-whose chain finds a level False keeps that mask in its own table,
-_LEVELS, under the top's rows.  A True level ends its search, so each
-size has at most one: _TRUE_LEVELS keeps the last (top, mask) of each
-size, and a level keyed by rows that misses compares its rows with the
-entry of its size (_true_level).  So a puncture asked on its rows after
-its space's chain, as by contractible_witness, finds the level that
-chain found contractible, as when every level was keyed by rows.  A
-cold path of 3,200 points leaves one root entry and 3,197 masks, about
-1.7 MiB, where rows keys held about 861 MiB.
+The one rule for keys.  Let B be the largest degree of the top.  Every
+rim the search meets is top[v] & alive, a subset of top[v], so it has
+at most B points, and the levels and rims of a rim have fewer still.
+So a level of the top with more than B points never has a rim's rows.
+All of the top is keyed by its rows, in _CONTRACTIBLE.  A level with
+more than B points is keyed by its alive mask over the top's rows, in
+the top's own table in _LEVELS, which keeps both verdicts; it is run as
+a mask: no rows are rebuilt, a rim is top[v] & alive, and the cone test
+runs only at B + 1 points, as a larger level has no point with enough
+neighbours.  A level with at most B points has its rows built and its
+inherited masks re-indexed onto them, and it, every level below it and
+every rim are keyed by rows, so such a level that equals a rim shares
+its entry and a class is charged once.  The punctures of one top and
+the steps of a witness over it are levels of one chain, so they share
+its table: G - u - v is G - v - u, and a witness's step finds the level
+its first check decided.  A mask key loses the share with another
+level of the top whose rows are equal under another mask: with two
+equal tails hung from one point of a projective plane, either tail gone
+leaves the same rows.  One search meets such a pair only among levels
+it finds False, as a True level ends it, but two punctures of one top
+are two searches and can each find a True level with the same rows.
+Each level of such a pair costs a node, where a search keyed by rows
+pays one; so does a puncture whose rows another space left in
+_CONTRACTIBLE, as a cone's apex puncture is the disk itself.  A cold path of 3,200 points leaves one root entry and
+3,197 masks, about 1.6 MiB, where rows keys held about 861 MiB.
 
 Deleting v changes only the rims of v's neighbours, so a level inherits
 its parent's simple points and re-checks those rims alone, in point
@@ -85,7 +80,7 @@ The transformations test simplicity the same way: the simplicity
 predicates, the four moves, contractible_witness and both reduce_space
 strategies pass _contractible a space's rows and the mask of a rim
 O(v) or joint rim O(vu), so the only DigitalSpace an applied step
-builds is the edited space.
+builds is the edited space, and the witness builds only its end.
 """
 
 from __future__ import annotations
@@ -97,25 +92,12 @@ from .budget import Budget, BudgetExceeded, ensure_budget
 from . import cache
 from .cache import MISSING, FormCache
 from .canon import canonical_form
-from .space import (
-    DigitalSpace,
-    _bits,
-    _drop,
-    _edges,
-    _euler,
-    _induced,
-    _reach,
-    _run,
-    _without,
-)
+from .space import DigitalSpace, _bits, _drop, _edges, _euler, _induced, _reach, _run
 
 _CONTRACTIBLE = FormCache()
-# a top's rows -> {alive mask: False}, its levels above B found not
-# contractible; made when the first one is found
+# a top's rows -> {alive mask: verdict}, its levels above B; made when
+# the first one is decided
 _LEVELS = FormCache()
-# a number of points -> (top rows, alive mask): the last level of that
-# size above its top's B found contractible
-_TRUE_LEVELS = FormCache()
 
 
 class NotSimpleError(ValueError):
@@ -131,18 +113,28 @@ class TraceError(ValueError):
 
 def is_contractible(G: DigitalSpace, budget: Budget | None = None) -> bool:
     """Decide whether G reduces to a point by simple-point deletions."""
-    rows = G._rows
-    verdict = _pruned(rows, (1 << len(rows)) - 1)
+    full = (1 << len(G)) - 1
+    verdict = _pruned(G._rows, full)
     if verdict is None:
-        verdict = _run(_contractible_steps(rows, None, ensure_budget(budget), _Chain(rows)))
+        verdict = _level(_Chain(G._rows), full, ensure_budget(budget))
     return verdict
 
 
+def _level(chain: _Chain, alive: int, budget: Budget) -> bool:
+    """is_contractible on the connected subspace of chain.top induced by
+    alive, of two or more points, searched as a level of that chain: all
+    of the top is keyed by its rows, a mask with more points than B by
+    that mask in the top's table, and a smaller subspace has its rows
+    built."""
+    return _run(_contractible_steps(chain.top, alive, None, budget, chain))
+
+
 class _Chain:
-    """The deletion chain of a top, the space is_contractible was asked
-    about: its rows, B (its largest degree), and the masks of its levels
-    above B.  The top's table in _LEVELS is looked up at the first such
-    level, after the top's own rows missed."""
+    """The deletion chain of a top: its rows, B (its largest degree), and
+    its table in _LEVELS, from the mask of each level above B that the
+    top's searches decided to its verdict.  The table is looked up at
+    the first such level and made when the first verdict is stored; one
+    chain serves every level a caller asks of the top (_level)."""
 
     __slots__ = ("top", "bound", "levels")
 
@@ -155,31 +147,22 @@ class _Chain:
         return MISSING if self.levels is MISSING else self.levels.get(alive, MISSING)
 
     def put(self, alive: int, result: bool) -> None:
-        if result:
-            _TRUE_LEVELS.put(alive.bit_count(), (self.top, alive))
-            return
         if self.levels is MISSING:
             self.levels = {}
             _LEVELS.put(self.top, self.levels)
         elif len(self.levels) >= cache.CAPACITY:
             self.levels.clear()
-        self.levels[alive] = False
-
-
-def _true_level(rows: tuple[int, ...]):
-    """True when rows are those of the level of their size in
-    _TRUE_LEVELS, else MISSING."""
-    entry = _TRUE_LEVELS.get(len(rows))
-    return True if entry is not MISSING and _induced(*entry) == rows else MISSING
+        self.levels[alive] = result
 
 
 def _contractible(rows: tuple[int, ...], mask: int, budget: Budget) -> bool:
-    """is_contractible on the subspace of rows induced by mask.  Prunes
-    (a) and (b) decide from the mask; only a subspace they leave open
-    has its rows built, as the search's root and memo key."""
+    """is_contractible on the subspace of rows induced by mask, a rim,
+    joint rim or attachment rim.  Prunes (a) and (b) decide from the
+    mask; only a subspace they leave open has its rows built, as the
+    search's root and memo key."""
     verdict = _pruned(rows, mask)
     if verdict is None:
-        verdict = _run(_contractible_steps(_induced(rows, mask), None, budget))
+        verdict = _run(_contractible_steps(rows, mask, None, budget))
     return verdict
 
 
@@ -194,51 +177,50 @@ def _pruned(rows, mask: int) -> bool | None:
 
 
 def _contractible_steps(
-    rows: tuple[int, ...], inherited, budget: Budget, chain=None, alive=None
+    rows: tuple[int, ...], alive: int, inherited, budget: Budget, chain=None
 ):
-    """One search level: the subspace of rows induced by alive, or all
-    of rows when alive is None, connected and of two or more points.
-    inherited is None at a root (a top-level call or a rim); on a
-    deletion chain it is (simple, stale): masks over rows of the points
-    known simple and of those whose rims changed.  A root's chi is
-    counted on its rows.  chain is None except on an is_contractible
-    top's chain, where it is the top's _Chain: a deletion with more than
-    B points stays alive over the top's rows, and one with B points gets
-    its rows built.  The level yields the search of each rim and
-    deletion it needs a verdict on, except a rim that prunes (a) or (b)
-    decide from the rows and the rim's mask."""
-    whole = alive is None
-    if whole:
-        hit = _CONTRACTIBLE.get(rows)
-        if hit is MISSING:
-            hit = _true_level(rows)
-    else:
-        hit = chain.get(alive)
+    """One search level: the subspace of rows induced by alive, connected
+    and of two or more points.  inherited is None at a root (a top-level
+    call, a puncture or a rim); on a deletion chain it is (simple,
+    stale): masks over rows of the points known simple and of those
+    whose rims changed.  A root's chi is counted inside alive.  chain is
+    the top's _Chain when rows are a top's, else None.  All of rows is
+    keyed by rows, a level above chain.bound points by alive in chain;
+    any other level has its rows built first, its inherited masks
+    re-indexed onto them, and leaves chain behind.  The level yields the
+    search of each rim and deletion it needs a verdict on, except a rim
+    that prunes (a) or (b) decide from the rows and the rim's mask."""
+    full = (1 << len(rows)) - 1
+    n = alive.bit_count()
+    if alive != full and (chain is None or n <= chain.bound):
+        if inherited is not None:
+            inherited = (_packed(inherited[0], alive), _packed(inherited[1], alive))
+        rows, chain = _induced(rows, alive), None
+        alive = full = (1 << n) - 1
+    whole = alive == full
+    hit = _CONTRACTIBLE.get(rows) if whole else chain.get(alive)
     if hit is not MISSING:
         return hit
     budget.charge()
-    full = (1 << len(rows)) - 1
     # no row holds its own point, so a cone point's row has n - 1 bits;
     # no point has more than B, so a level above B + 1 points is no cone
     if whole:
-        alive, n = full, len(rows)
         cone = n - 1 in map(int.bit_count, rows)
     else:
-        n = alive.bit_count()
         cone = n - 1 <= chain.bound and any(
             (rows[i] & alive).bit_count() == n - 1 for i in _bits(alive)
         )
     if cone:
         result = True
-    elif inherited is None and _euler(rows) != 1:
+    elif inherited is None and _euler(rows, alive) != 1:
         result = False
     else:
-        simple, stale = inherited or (0, full)
+        simple, stale = inherited or (0, alive)
         for i in _bits(stale):
             mask = rows[i] & alive
             verdict = _pruned(rows, mask)
             if verdict is None:
-                verdict = yield _contractible_steps(_induced(rows, mask), None, budget)
+                verdict = yield _contractible_steps(rows, mask, None, budget)
             if verdict:
                 simple |= 1 << i
         result = False
@@ -246,13 +228,8 @@ def _contractible_steps(
             for i in _bits(simple):
                 # the child's simple and stale points, over these rows
                 row = rows[i] & alive
-                kept, rest = simple & ~row ^ 1 << i, alive ^ 1 << i
-                if chain is not None and n - 1 > chain.bound:
-                    level = _contractible_steps(rows, (kept, row), budget, chain, rest)
-                else:  # one row off whole rows, or the top's first level with B points
-                    child = (_packed(kept, rest), _packed(row, rest))
-                    level = _contractible_steps(_induced(rows, rest), child, budget)
-                if (yield level):
+                child = (simple & ~row ^ 1 << i, row)
+                if (yield _contractible_steps(rows, alive ^ 1 << i, child, budget, chain)):
                     result = True
                     break
     if whole:
@@ -429,37 +406,31 @@ def contractible_witness(
     first simple point whose puncture is contractible, so G stays
     contractible, hence connected, and a simple point's puncture is
     connected too (module docstring): prunes (b) never fires on it, and
-    (a) only on a one-point puncture, contractible at no charge.  The
-    puncture's rows (_without) go to the search as they are and become
-    the step's space.  Each step follows the first check's choice, so
-    its puncture is mostly the level of its size that check found
-    contractible: the step keeps the puncture's mask over G and finds
-    it in _TRUE_LEVELS by that mask, which the search would find by
-    comparing rows (_true_level) at the same (nil) charge.
+    (a) only on a one-point puncture, contractible at no charge.  Steps
+    are masks of surviving points over G's rows: a rim is G's row of the
+    point within the mask, and a puncture is a level of G's chain
+    (_level), the chain the first check walked and whose verdicts it
+    kept, so a step finds the level that check decided.  The only space
+    built is the end.
     """
     budget = ensure_budget(budget)
     if not is_contractible(G, budget):
         raise ValueError("space is not contractible")
-    start = canonical_form(G).encoding
-    top, alive = G._rows, (1 << len(G)) - 1
+    chain, alive = _Chain(G._rows), (1 << len(G)) - 1
     steps = []
-    while len(G) > 1:
-        rows = G._rows
-        for i, (row, v) in enumerate(zip(rows, _bits(alive))):
-            if _contractible(rows, row, budget):
-                rest, left = _without(rows, i), alive ^ 1 << v
-                if (
-                    len(rest) == 1
-                    or _TRUE_LEVELS.get(len(rest)) == (top, left)
-                    or _run(_contractible_steps(rest, None, budget))
-                ):
-                    break
+    while alive & alive - 1:
+        for v in _bits(alive):
+            rim, left = G._rows[v] & alive, alive ^ 1 << v
+            if _contractible(G._rows, rim, budget) and (
+                not left & left - 1 or _level(chain, left, budget)
+            ):
+                break
         else:  # pragma: no cover - contradicts contractibility
             raise AssertionError("no usable simple point in a contractible space")
-        steps.append(TransformStep("delete-point", (G._ids[i],), G._ids_of(row)))
-        G = DigitalSpace._from_rows(G._ids[:i] + G._ids[i + 1 :], rest)
+        steps.append(TransformStep("delete-point", (G._ids[v],), G._ids_of(rim)))
         alive = left
-    return TransformTrace(start, tuple(steps), canonical_form(G).encoding)
+    end = canonical_form(G._induced_by_mask(alive)).encoding
+    return TransformTrace(canonical_form(G).encoding, tuple(steps), end)
 
 
 # -- reduction -------------------------------------------------------------------

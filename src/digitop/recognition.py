@@ -29,10 +29,11 @@ Below the public recognize* functions a subspace is asked for as
 _sphere_walk take a space's rows and the mask of the whole space, a rim
 or a ring, decide S0 and subspaces of fewer than four points from the
 mask, and build the others' rows (space._induced) as the memo key.  A
-puncture goes to homotopy._contractible as the full mask less one
-point.  A cone is rows of its own, the apex at row 0 (space._apex),
-asked for with its full mask.  No DigitalSpace is built; the public
-functions turn masks back into point ids.
+puncture goes to homotopy._level as the full mask less one point, a
+level of the space's chain, so the punctures of one space share one
+table of levels.  A cone is rows of its own, the apex at row 0
+(space._apex), asked for with its full mask.  No DigitalSpace is
+built; the public functions turn masks back into point ids.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from typing import NamedTuple
 from .budget import Budget, ensure_budget
 from .cache import MISSING, FormCache
 from . import canon
-from .homotopy import _contractible
+from .homotopy import _Chain, _level
 from .space import DigitalSpace, _apex, _connected, _euler, _induced
 
 _SPHERE = FormCache()
@@ -127,13 +128,14 @@ def _sphere_walk(
     if hit is not MISSING:
         return hit
     closed = _closed_dim(rows, budget)
+    full = (1 << count) - 1
     if closed is None or closed < 3:
-        n = None if closed == 2 and _euler(rows) != 2 else closed
+        n = None if closed == 2 and _euler(rows, full) != 2 else closed
     else:
         budget.charge()
-        full = (1 << count) - 1
+        chain = _Chain(rows)
         punctures_contractible = all(
-            _contractible(rows, full ^ 1 << orbit[0], budget)
+            _level(chain, full ^ 1 << orbit[0], budget)
             for orbit in canon._orbits(count, canon._canonical(rows)[2])
         )
         n = closed if punctures_contractible else None

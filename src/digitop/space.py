@@ -12,16 +12,16 @@ holds only its sorted point ids (matching [A-Za-z0-9_]+, found by
 bisection), one integer bitmask row per point and a cache.  The row
 kernel shared by canon, homotopy, recognition, transform and classify
 lives here too: _drop, _gap, _bits, _edges, _reach, _reindex, _induced,
-_apex, _without, _clique_counts and _euler, and _run, which runs the
-canonical and contractibility searches on an explicit stack.
+_apex, _clique_counts and _euler, and _run, which runs the canonical and
+contractibility searches on an explicit stack.
 _induced is the one subspace builder: the searches below the public
 API take (rows, mask) and call it only for the subspaces the mask
 alone does not decide, and every subspace a DigitalSpace method
 returns, a deletion included, is built by it.  The contractibility
-search builds none for the deletion levels of a whole space that have
-more points than its largest degree: they stay masks over its rows,
-and only the first level with that many points is built, once (the
-rule is in homotopy.py).
+search builds none for the levels of a space's chain, its punctures
+included, that have more points than its largest degree: they stay
+masks over its rows, and chi counts their cliques there (the rule is
+in homotopy.py).
 """
 
 from __future__ import annotations
@@ -106,12 +106,16 @@ def _reindex(rows: Sequence[int], order: Sequence[int], within: int) -> list[int
 
 def _induced(rows: tuple[int, ...], mask: int) -> tuple[int, ...]:
     """Rows of the subspace induced by mask, its points in order: rows
-    itself for the full mask, and rows with one row sliced out
-    (_without) when one point is missing."""
+    itself for the full mask, and rows with one row sliced out, the
+    others shifted past it, when one point i is missing."""
     if mask.bit_count() < len(rows) - 1:
         return tuple(_reindex(rows, list(_bits(mask)), mask))
     missing = (1 << len(rows)) - 1 ^ mask
-    return _without(rows, missing.bit_length() - 1) if missing else rows
+    if not missing:
+        return rows
+    i = missing.bit_length() - 1
+    low = (1 << i) - 1
+    return tuple([row & low | row >> (i + 1) << i for row in rows[:i] + rows[i + 1 :]])
 
 
 def _apex(rows: Sequence[int], within: int, over: int) -> tuple[int, ...]:
@@ -125,15 +129,9 @@ def _apex(rows: Sequence[int], within: int, over: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _without(rows: Sequence[int], i: int) -> tuple[int, ...]:
-    """Rows of the space without point i: row i sliced out, the others
-    shifted past it."""
-    low = (1 << i) - 1
-    return tuple([row & low | row >> (i + 1) << i for row in rows[:i] + rows[i + 1 :]])
-
-
-def _clique_counts(rows: Sequence[int]) -> tuple[int, ...]:
-    """Clique counts of rows: entry k is the number of (k+1)-cliques.
+def _clique_counts(rows: Sequence[int], within: int) -> tuple[int, ...]:
+    """Clique counts of the subspace of rows induced by within: entry k
+    is the number of (k+1)-cliques.
 
     Enumerates cliques as increasing index sequences on a stack, so each
     clique is visited once and none needs recursion.  Counting more than
@@ -142,7 +140,7 @@ def _clique_counts(rows: Sequence[int]) -> tuple[int, ...]:
     """
     counts: list[int] = []
     seen = 0
-    stack = [(0, (1 << len(rows)) - 1)] if rows else []
+    stack = [(0, within)] if within else []
     while stack:
         size, cand = stack.pop()
         if size == len(counts):
@@ -161,9 +159,10 @@ def _clique_counts(rows: Sequence[int]) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def _euler(rows: Sequence[int]) -> int:
-    """Euler characteristic of the clique complex of rows."""
-    return CliqueVector(_clique_counts(rows)).euler_characteristic()
+def _euler(rows: Sequence[int], within: int) -> int:
+    """Euler characteristic of the clique complex of the subspace of rows
+    induced by within."""
+    return CliqueVector(_clique_counts(rows, within)).euler_characteristic()
 
 
 def _run(root):
@@ -446,7 +445,8 @@ class DigitalSpace:
     def clique_vector(self) -> CliqueVector:
         """Count cliques of every size (see _clique_counts), once per space."""
         if "cliques" not in self._cache:
-            self._cache["cliques"] = CliqueVector(_clique_counts(self._rows))
+            full = (1 << len(self._rows)) - 1
+            self._cache["cliques"] = CliqueVector(_clique_counts(self._rows, full))
         return self._cache["cliques"]
 
     def euler_characteristic(self) -> int:

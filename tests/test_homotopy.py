@@ -195,11 +195,11 @@ def test_subspaces_the_mask_decides_build_no_rows(monkeypatch):
 
 
 def test_each_applied_step_builds_one_space(cold_memo, built_spaces):
-    """Transformations test simplicity on rows: reduce_space and
-    contractible_witness build one DigitalSpace per recorded step, the
-    edited space, an R-transform two, with the new point and without
-    the old edge, and a disk contraction two, without the interior and
-    with the new point."""
+    """Transformations test simplicity on rows: reduce_space builds one
+    DigitalSpace per recorded step, the edited space, and
+    contractible_witness one in all, its one-point end; an R-transform
+    builds two, with the new point and without the old edge, and a disk
+    contraction two, without the interior and with the new point."""
     torus, punctured = _grown_torus()
     disk = minimal_disk(3)
     witness = is_compressed(torus).witness
@@ -210,8 +210,8 @@ def test_each_applied_step_builds_one_space(cold_memo, built_spaces):
         assert len(built_spaces) == len(steps) > 0, strategy
     cache.clear_all()
     built_spaces.clear()
-    steps = contractible_witness(disk).steps
-    assert len(built_spaces) == len(steps) > 0
+    assert contractible_witness(disk).steps
+    assert built_spaces == [1]
     built_spaces.clear()
     r_transform(torus, *torus.edges[0])
     assert len(built_spaces) == 2
@@ -278,26 +278,37 @@ def test_witness_reduces_to_one_point():
 
 def _reference_witness(G, budget):
     """The witness's steps by the definition: delete the first simple
-    point whose puncture, asked for as a mask, is contractible."""
+    point of the space left whose puncture is contractible.  Each rim is
+    asked on the rows of the space left, and each puncture as a mask
+    over the input's rows, prunes (a) and (b) first."""
+    points, top, alive = G.points, G._rows, (1 << len(G)) - 1
+    chain = homotopy._Chain(top)
+
+    def puncture_contractible(point):
+        left = alive ^ 1 << points.index(point)
+        verdict = homotopy._pruned(top, left)
+        return homotopy._level(chain, left, budget) if verdict is None else verdict
+
     steps = []
     while len(G) > 1:
         rows = G._rows
-        full = (1 << len(rows)) - 1
         i = next(
             i
             for i, row in enumerate(rows)
             if homotopy._contractible(rows, row, budget)
-            and homotopy._contractible(rows, full ^ 1 << i, budget)
+            and puncture_contractible(G.points[i])
         )
         steps.append((G.points[i], G.neighbors(G.points[i])))
+        alive ^= 1 << points.index(G.points[i])
         G = G.delete_points([G.points[i]])
     return steps
 
 
 def test_witness_steps_and_charges_match_the_definition():
-    """The witness searches each puncture on its rows, skipping prunes
-    (a) and (b) but for a one-point puncture: that changes no step and no
-    charge against a loop that asks for every puncture as a mask."""
+    """The witness asks each puncture as a level of the input's chain,
+    skipping prunes (a) and (b) but for a one-point puncture: that
+    changes no step and no charge against a loop that runs both prunes
+    on every puncture."""
     rng = random.Random(3)
     inputs = [
         support.path(2),
@@ -786,13 +797,48 @@ def test_levels_found_false_stay_in_the_top_table(cold_memo, monkeypatch):
     assert 0 < len(homotopy._LEVELS.get(G._rows)) <= 3
 
 
-def test_no_table_for_a_top_without_levels_found_false(cold_memo):
-    """A contractible top, or one answered from the rows table, leaves no
-    table of masks."""
+def test_a_contractible_top_keeps_its_true_levels(cold_memo):
+    """The table of a contractible top holds the levels its chain found
+    contractible, one per size from 39 points down to the 3-point cone,
+    so a puncture of the top asked afterwards, a level of the same chain,
+    charges nothing."""
     G = support.path(40)
     assert is_contractible(G)
-    assert is_contractible(G)
-    assert homotopy._LEVELS.get(G._rows) is cache.MISSING
+    table = homotopy._LEVELS.get(G._rows)
+    assert len(table) == 37 and set(table.values()) == {True}
+    budget = Budget()
+    assert homotopy._level(homotopy._Chain(G._rows), (1 << len(G)) - 2, budget)
+    assert budget.spent == 0
+
+
+def test_sphere_punctures_are_levels_of_one_chain(cold_memo, monkeypatch):
+    """A cold recognize of a grown 3-sphere asks each puncture as a level
+    of the sphere's chain: it builds the rows of no subspace with more
+    points than the sphere's largest degree, and every puncture lands in
+    the sphere's one table of masks."""
+    rng = random.Random(30)
+    G = minimal_sphere(3)
+    while len(G) < 30:
+        G = r_transform(G, *rng.choice(G.edges))
+    bound = max(map(G.degree, G.points))
+    built = []
+    for module in (homotopy, recognition):
+
+        def induced(rows, mask, original=module._induced):
+            if mask != (1 << len(rows)) - 1:
+                built.append(mask.bit_count())
+            return original(rows, mask)
+
+        monkeypatch.setattr(module, "_induced", induced)
+    cache.clear_all()
+    result = recognize(G)
+    assert built and max(built) <= bound < len(G) - 1
+    assert len(homotopy._LEVELS) == 1
+    table = homotopy._LEVELS.get(G._rows)
+    full = (1 << len(G)) - 1
+    for orbit in canon.point_orbits(G):
+        assert full ^ 1 << G.points.index(orbit[0]) in table
+    assert result == support.literal_recognize(G)
 
 
 @pytest.mark.xfail(
@@ -832,7 +878,7 @@ def test_long_deletion_chain_holds_little_memory(cold_memo, shape):
     """A cold ask about a 3,200-point path or tree charges one node per
     level from 3,200 points down to the 3-point cone, and what it leaves
     in the memo stays small: the levels above the top's largest degree
-    are masks, not rebuilt rows, and a True one is not kept."""
+    are masks, not rebuilt rows, one per level."""
     n = 3200
     G = support.path(n) if shape == "path" else support.random_tree(random.Random(n), n)
     budget = Budget()

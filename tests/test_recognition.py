@@ -116,14 +116,14 @@ def test_sphere_checks_a_puncture_in_every_orbit(monkeypatch):
     assert len(orbits) >= 2
     later = orbits[-1][0]
     punctured = G.delete_points([later])._rows
-    real = recognition._contractible
+    real = recognition._level
 
-    def contractible(rows, mask, budget):
-        if _induced(rows, mask) == punctured:
+    def contractible(chain, mask, budget):
+        if _induced(chain.top, mask) == punctured:
             return False
-        return real(rows, mask, budget)
+        return real(chain, mask, budget)
 
-    monkeypatch.setattr(recognition, "_contractible", contractible)
+    monkeypatch.setattr(recognition, "_level", contractible)
     cache.clear_all()
     try:
         assert recognize_sphere(G) is None
